@@ -12,12 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import model_cpum, model_f, model_gh, model_maps, petal_harness
+from . import model_f, model_gh, petal_harness
 from .extension import Inconsistent
-from .model_cpum import CantorPseudoUltrametric
-from .model_f import SupportMap
 from .model_gh import GHPoint
-from .model_maps import CantorFunction
+from .petal import MODELS
 from .scales import RangeSet, as_scale, scale_str
 from .umspace import FiniteUltraSpace, SpaceError
 
@@ -29,38 +27,6 @@ def _read_json(path: str):
 
 def _load_space(path: str) -> FiniteUltraSpace:
     return FiniteUltraSpace.from_json(_read_json(path))
-
-
-_LOADERS = {
-    "f": lambda path: SupportMap.from_json(_read_json(path)),
-    "maps": lambda path: CantorFunction.from_json(_read_json(path)),
-    "cpum": lambda path: CantorPseudoUltrametric.from_json(_read_json(path)),
-    "gh": lambda path: GHPoint(_load_space(path)),
-}
-
-_METRICS = {
-    "f": model_f.delta,
-    "maps": model_maps.nabla,
-    "cpum": model_cpum.ud,
-}
-
-_PETAL_DISTANCE = {
-    "f": model_f.petal_distance,
-    "maps": model_maps.petal_distance,
-    "cpum": model_cpum.petal_distance,
-    "gh": model_gh.petal_distance,
-}
-
-_EXTEND = {
-    "f": model_f.one_point_extension,
-    "maps": model_maps.one_point_extension,
-}
-
-
-def _to_json(value) -> dict:
-    if isinstance(value, GHPoint):
-        return value.space.to_json()
-    return value.to_json()
 
 
 def _parse_range(text: str) -> RangeSet:
@@ -89,19 +55,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("space", help="space JSON file")
 
     p = sub.add_parser("dist", help="distance between two elements of one model")
-    p.add_argument("--model", required=True, choices=["f", "maps", "cpum"])
+    p.add_argument("--model", required=True, choices=list(MODELS))
     p.add_argument("a")
     p.add_argument("b")
 
     p = sub.add_parser("petal-dist", help="distance from an element to the petal of a range set")
-    p.add_argument("--model", required=True, choices=["f", "maps", "cpum", "gh"])
+    p.add_argument("--model", required=True, choices=list(MODELS))
     p.add_argument("element")
     p.add_argument("--range", required=True, dest="range_set",
                    help='range set as a JSON array, e.g. \'["0","1/2"]\'')
     p.add_argument("--witness", help="write the nearest petal member to this file")
 
     p = sub.add_parser("extend", help="one-point extension at prescribed distances")
-    p.add_argument("--model", required=True, choices=["f", "maps"])
+    p.add_argument("--model", required=True,
+                   choices=[name for name, model in MODELS.items() if model.extend])
     p.add_argument("anchors", help="JSON file holding an array of model elements")
     p.add_argument("--targets", required=True,
                    help='distances as a JSON array, e.g. \'["1/2","1"]\'')
@@ -127,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
 
     p = sub.add_parser("harness", help="run the axiom suite of one model")
-    p.add_argument("--model", required=True, choices=["f", "maps", "cpum", "gh"])
+    p.add_argument("--model", required=True, choices=list(MODELS))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dump-dir", default=None,
@@ -147,25 +114,27 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "dist":
-        load = _LOADERS[args.model]
-        print(scale_str(_METRICS[args.model](load(args.a), load(args.b))))
+        model = MODELS[args.model]
+        a, b = (model.from_json(_read_json(path)) for path in (args.a, args.b))
+        print(scale_str(model.metric(a, b)))
         return 0
 
     if args.command == "petal-dist":
-        element = _LOADERS[args.model](args.element)
-        value, witness = _PETAL_DISTANCE[args.model](element, _parse_range(args.range_set))
+        model = MODELS[args.model]
+        element = model.from_json(_read_json(args.element))
+        value, witness = model.petal_distance(element, _parse_range(args.range_set))
         print(scale_str(value))
         if args.witness:
-            Path(args.witness).write_text(json.dumps(_to_json(witness), indent=2) + "\n")
+            Path(args.witness).write_text(json.dumps(witness.to_json(), indent=2) + "\n")
         return 0
 
     if args.command == "extend":
+        model = MODELS[args.model]
         data = _read_json(args.anchors)
         if not isinstance(data, list):
             raise ValueError("anchors file must hold a JSON array of elements")
-        from_json = SupportMap.from_json if args.model == "f" else CantorFunction.from_json
-        anchors = [from_json(item) for item in data]
-        theta = _EXTEND[args.model](anchors, _parse_targets(args.targets))
+        anchors = [model.from_json(item) for item in data]
+        theta = model.extend(anchors, _parse_targets(args.targets))
         print(json.dumps(theta.to_json(), indent=2))
         return 0
 

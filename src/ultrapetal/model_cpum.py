@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cells import cell_owners, check_prefixes, refinement
-from .scales import RangeSet, ScaleLike, ZERO, as_scale, max_outside, scale_str
+from .scales import RangeSet, ScaleLike, ZERO, scale_str
 from .umspace import check_matrix
 
 
@@ -60,6 +60,8 @@ class CantorPseudoUltrametric:
     def from_json(cls, data: object) -> "CantorPseudoUltrametric":
         if not isinstance(data, Mapping) or "cells" not in data or "dist" not in data:
             raise ValueError('file must be {"cells": [...], "dist": [[...]]}')
+        if not isinstance(data["cells"], list):
+            raise ValueError("cells must be a JSON array of binary strings")
         return cls(data["cells"], data["dist"])
 
 
@@ -92,56 +94,19 @@ def trace(d: CantorPseudoUltrametric) -> RangeSet:
     return d.spectrum()
 
 
-def in_petal(d: CantorPseudoUltrametric, s: RangeSet) -> bool:
-    return d.spectrum().issubset(s)
+def truncate(d: CantorPseudoUltrametric, u: Fraction) -> CantorPseudoUltrametric:
+    """Zero every entry at or below ``u``.
 
-
-def petal_distance(
-    d: CantorPseudoUltrametric, s: RangeSet
-) -> tuple[Fraction, CantorPseudoUltrametric]:
-    """Distance to the petal of ``s`` plus a nearest member.
-
-    The witness zeroes every entry at or below the threshold; lowering
-    small values to 0 cannot break the strong triangle inequality when
-    all surviving entries are larger, so the witness is again a
-    pseudo-ultrametric, with spectrum inside ``s``.
+    Lowering small values to 0 cannot break the strong triangle
+    inequality when all surviving entries are larger, so the result is
+    again a pseudo-ultrametric, within ``u`` of ``d``.
     """
-    u = max_outside(d.spectrum(), s)
-    if u == ZERO:
-        return ZERO, d
-    truncated = [
-        [v if v > u else ZERO for v in row] for row in d.dist
-    ]
-    return u, CantorPseudoUltrametric(d.cells, truncated)
-
-
-def approximate_into_petal(
-    d: CantorPseudoUltrametric, s: RangeSet, r: ScaleLike
-) -> tuple[RangeSet, CantorPseudoUltrametric]:
-    """Zero the entries below ``r``; the widened range set keeps the rest."""
-    bound = as_scale(r)
-    if bound <= ZERO:
-        raise ValueError("approximation radius must be positive")
-    widened = s.union(RangeSet(v for row in d.dist for v in row if v >= bound))
-    truncated = [
-        [v if v >= bound else ZERO for v in row] for row in d.dist
-    ]
-    return widened, CantorPseudoUltrametric(d.cells, truncated)
-
-
-def covering_petal(points: Sequence[CantorPseudoUltrametric]) -> RangeSet:
-    out = RangeSet()
-    for p in points:
-        out = out.union(p.spectrum())
-    return out
+    return CantorPseudoUltrametric(d.cells, [[v if v > u else ZERO for v in row] for row in d.dist])
 
 
 __all__ = [
     "CantorPseudoUltrametric",
     "ud",
     "trace",
-    "in_petal",
-    "petal_distance",
-    "approximate_into_petal",
-    "covering_petal",
+    "truncate",
 ]

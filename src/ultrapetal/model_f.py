@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .extension import Inconsistent, verify_extension
-from .scales import RangeSet, ScaleLike, ZERO, as_scale, max_outside, scale_str
+from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
 from .umspace import FiniteUltraSpace
 
 
@@ -63,7 +63,7 @@ class SupportMap:
         if not isinstance(data, Mapping) or "support" not in data:
             raise ValueError('support map file must be {"support": [[scale, count], ...]}')
         pairs = data["support"]
-        if not isinstance(pairs, list) or any(len(p) != 2 for p in pairs):
+        if not isinstance(pairs, list) or any(not isinstance(p, list) or len(p) != 2 for p in pairs):
             raise ValueError("support must be a list of [scale, count] pairs")
         return cls((k, v) for k, v in pairs)
 
@@ -91,46 +91,9 @@ def trace(f: SupportMap) -> RangeSet:
     return RangeSet(k for k, _ in f.entries)
 
 
-def in_petal(f: SupportMap, s: RangeSet) -> bool:
-    return trace(f).issubset(s)
-
-
-def petal_distance(f: SupportMap, s: RangeSet) -> tuple[Fraction, SupportMap]:
-    """Exact distance from ``f`` to the petal of ``s`` and a nearest point.
-
-    The distance is the largest support key outside ``s`` (0 for members);
-    the witness keeps exactly the keys above that threshold, which all lie
-    in ``s``.
-    """
-    u = max_outside(trace(f), s)
-    if u == ZERO:
-        return ZERO, f
-    witness = SupportMap((k, v) for k, v in f.entries if k > u)
-    return u, witness
-
-
-def approximate_into_petal(
-    f: SupportMap, s: RangeSet, r: ScaleLike
-) -> tuple[RangeSet, SupportMap]:
-    """Truncate ``f`` below ``r`` and widen ``s`` just enough to hold the rest.
-
-    Returns (T, g) with g in the petal of T and delta(f, g) < r; T adds
-    only the finitely many support keys >= r to ``s``.
-    """
-    bound = as_scale(r)
-    if bound <= ZERO:
-        raise ValueError("approximation radius must be positive")
-    widened = s.union(RangeSet(k for k, _ in f.entries if k >= bound))
-    g = SupportMap((k, v) for k, v in f.entries if k >= bound)
-    return widened, g
-
-
-def covering_petal(points: Sequence[SupportMap]) -> RangeSet:
-    """A range set whose petal contains every given point: the traces' union."""
-    out = RangeSet()
-    for p in points:
-        out = out.union(trace(p))
-    return out
+def truncate(f: SupportMap, u: Fraction) -> SupportMap:
+    """Keep the support keys above ``u``; the result is within ``u`` of ``f``."""
+    return SupportMap((k, v) for k, v in f.entries if k > u)
 
 
 def one_point_extension(
@@ -195,10 +158,7 @@ __all__ = [
     "SupportMap",
     "delta",
     "trace",
-    "in_petal",
-    "petal_distance",
-    "approximate_into_petal",
-    "covering_petal",
+    "truncate",
     "one_point_extension",
     "embed_space",
     "Inconsistent",

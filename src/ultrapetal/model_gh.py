@@ -12,7 +12,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scales import RangeSet, ScaleLike, ZERO, as_scale, max_outside
+from .scales import RangeSet, ScaleLike, ZERO, as_scale
 from .umspace import FiniteUltraSpace
 
 
@@ -50,6 +50,13 @@ class GHPoint:
 
     def __repr__(self) -> str:
         return f"GHPoint({len(self.space)} points)"
+
+    def to_json(self) -> dict:
+        return self.space.to_json()
+
+    @classmethod
+    def from_json(cls, data: object) -> "GHPoint":
+        return cls(FiniteUltraSpace.from_json(data))
 
     def quotient_canon(self, eps: ScaleLike) -> str:
         """Canonical form of the eps-quotient.
@@ -177,20 +184,9 @@ def trace(x: GHPoint) -> RangeSet:
     return x.spectrum()
 
 
-def in_petal(x: GHPoint, s: RangeSet) -> bool:
-    return x.spectrum().issubset(s)
-
-
-def petal_distance(x: GHPoint, s: RangeSet) -> tuple[Fraction, GHPoint]:
-    """Distance to the classes with spectrum inside ``s``, with witness.
-
-    The witness is the quotient at the threshold: its spectrum keeps
-    exactly the values above the threshold (all inside ``s``) plus 0.
-    """
-    u = max_outside(x.spectrum(), s)
-    if u == ZERO:
-        return ZERO, x
-    return u, GHPoint(x.space.quotient(u))
+def truncate(x: GHPoint, u: Fraction) -> GHPoint:
+    """The quotient at ``u``: its spectrum keeps exactly the values above ``u``, plus 0."""
+    return GHPoint(x.space.quotient(u))
 
 
 __all__ = [
@@ -199,6 +195,5 @@ __all__ = [
     "na_distance",
     "na_oracle",
     "trace",
-    "in_petal",
-    "petal_distance",
+    "truncate",
 ]

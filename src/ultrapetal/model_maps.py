@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cells import cell_owners, check_prefixes, merge_equal_siblings, refinement
 from .extension import Inconsistent, verify_extension
-from .scales import RangeSet, ScaleLike, ZERO, as_scale, max_outside, scale_str
+from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
 
 
 class CantorFunction:
@@ -60,7 +60,7 @@ class CantorFunction:
         if not isinstance(data, Mapping) or "cells" not in data:
             raise ValueError('cell function file must be {"cells": [[prefix, scale], ...]}')
         pairs = data["cells"]
-        if not isinstance(pairs, list) or any(len(p) != 2 for p in pairs):
+        if not isinstance(pairs, list) or any(not isinstance(p, list) or len(p) != 2 for p in pairs):
             raise ValueError("cells must be a list of [prefix, scale] pairs")
         return cls((k, v) for k, v in pairs)
 
@@ -100,43 +100,13 @@ def trace(f: CantorFunction) -> RangeSet:
     return RangeSet(v for _, v in f.cells)
 
 
-def in_petal(f: CantorFunction, s: RangeSet) -> bool:
-    return trace(f).issubset(s)
+def truncate(f: CantorFunction, u: Fraction) -> CantorFunction:
+    """Flatten every value at or below ``u`` to 0.
 
-
-def petal_distance(f: CantorFunction, s: RangeSet) -> tuple[Fraction, CantorFunction]:
-    """Distance to the petal of ``s`` plus a nearest member.
-
-    The witness keeps every cell whose value exceeds the threshold (those
-    values lie in ``s``) and flattens the rest to 0, so it belongs to the
-    petal and still contains 0.
+    The cells keeping their value are exactly those above ``u``, and the
+    result still contains 0, so it is again a member, within ``u`` of ``f``.
     """
-    u = max_outside(trace(f), s)
-    if u == ZERO:
-        return ZERO, f
-    witness = CantorFunction(
-        (k, v if v > u else ZERO) for k, v in f.cells
-    )
-    return u, witness
-
-
-def approximate_into_petal(
-    f: CantorFunction, s: RangeSet, r: ScaleLike
-) -> tuple[RangeSet, CantorFunction]:
-    """Flatten values below ``r`` to 0; the widened range set keeps the rest."""
-    bound = as_scale(r)
-    if bound <= ZERO:
-        raise ValueError("approximation radius must be positive")
-    widened = s.union(RangeSet(v for _, v in f.cells if v >= bound))
-    g = CantorFunction((k, v if v >= bound else ZERO) for k, v in f.cells)
-    return widened, g
-
-
-def covering_petal(points: Sequence[CantorFunction]) -> RangeSet:
-    out = RangeSet()
-    for p in points:
-        out = out.union(trace(p))
-    return out
+    return CantorFunction((k, v if v > u else ZERO) for k, v in f.cells)
 
 
 def one_point_extension(
@@ -193,10 +163,7 @@ __all__ = [
     "zero_function",
     "nabla",
     "trace",
-    "in_petal",
-    "petal_distance",
-    "approximate_into_petal",
-    "covering_petal",
+    "truncate",
     "one_point_extension",
     "Inconsistent",
 ]

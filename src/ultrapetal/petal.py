@@ -1,0 +1,85 @@
+"""The model registry, with the petal operations written once for all models."""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
+
+from . import model_cpum, model_f, model_gh, model_maps
+from .model_cpum import CantorPseudoUltrametric
+from .model_f import SupportMap
+from .model_gh import GHPoint
+from .model_maps import CantorFunction
+from .scales import RangeSet, ScaleLike, ZERO, as_scale, max_outside
+
+
+@dataclass(frozen=True)
+class Model:
+    """One petal-carrying model space, given by its primitives.
+
+    ``trace(x)`` is the least range set whose petal holds ``x``;
+    ``truncate(x, u)`` drops every trace value <= u, keeps the values
+    above u, and moves ``x`` by at most u.  The petal operations below use
+    these two alone.  ``extend`` is the constructive one-point extension,
+    where the model has one.
+    """
+
+    name: str
+    from_json: Callable
+    metric: Callable
+    trace: Callable
+    truncate: Callable
+    extend: Optional[Callable] = None
+
+    def in_petal(self, x, s: RangeSet) -> bool:
+        return self.trace(x).issubset(s)
+
+    def petal_distance(self, x, s: RangeSet) -> tuple[Fraction, object]:
+        """Exact distance from ``x`` to the petal of ``s`` and a nearest member.
+
+        The distance is the largest trace value outside ``s`` (0 for
+        members); the witness truncates ``x`` there, so every trace value
+        it keeps lies above the threshold and hence in ``s``.
+        """
+        u = max_outside(self.trace(x), s)
+        if u == ZERO:
+            return ZERO, x
+        return u, self.truncate(x, u)
+
+    def approximate_into_petal(self, x, s: RangeSet, r: ScaleLike) -> tuple[RangeSet, object]:
+        """(T, g) with g in the petal of T, d(x, g) < r, and ``s`` inside T.
+
+        g truncates ``x`` at the largest trace value below r, so T adds to
+        ``s`` only the finitely many trace values >= r.
+        """
+        bound = as_scale(r)
+        if bound <= ZERO:
+            raise ValueError("approximation radius must be positive")
+        values = self.trace(x).elems
+        g = self.truncate(x, values[bisect_left(values, bound) - 1])
+        return s.union(self.trace(g)), g
+
+    def covering_petal(self, points: Sequence) -> RangeSet:
+        """A range set whose petal contains every given point: the traces' union."""
+        out = RangeSet()
+        for p in points:
+            out = out.union(self.trace(p))
+        return out
+
+
+# one module-level name per record: perfbench/layer_trace.py rebinds the
+# functions held by module-level records, and only those
+F = Model(name="f", from_json=SupportMap.from_json, metric=model_f.delta,
+          trace=model_f.trace, truncate=model_f.truncate, extend=model_f.one_point_extension)
+MAPS = Model(name="maps", from_json=CantorFunction.from_json, metric=model_maps.nabla,
+             trace=model_maps.trace, truncate=model_maps.truncate, extend=model_maps.one_point_extension)
+CPUM = Model(name="cpum", from_json=CantorPseudoUltrametric.from_json, metric=model_cpum.ud,
+             trace=model_cpum.trace, truncate=model_cpum.truncate)
+GH = Model(name="gh", from_json=GHPoint.from_json, metric=model_gh.na_distance,
+           trace=model_gh.trace, truncate=model_gh.truncate)
+
+MODELS = {m.name: m for m in (F, MAPS, CPUM, GH)}
+
+__all__ = ["Model", "F", "MAPS", "CPUM", "GH", "MODELS"]

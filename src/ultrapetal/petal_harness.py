@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from . import model_cpum, model_f, model_gh, model_maps
+from . import model_f, model_maps
 from .cells import cell_owners, refinement
 from .extension import Inconsistent
 from .model_cpum import CantorPseudoUltrametric
 from .model_f import SupportMap
 from .model_gh import GHPoint, na_distance, na_oracle
 from .model_maps import CantorFunction
+from .petal import CPUM, F, GH, MAPS, Model
 from .scales import RangeSet, ZERO, as_scale
 from .umspace import FiniteUltraSpace
 
@@ -223,242 +225,182 @@ def _cpum_same(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> bool:
 
 
 @dataclass(frozen=True)
-class _ModelOps:
-    name: str
+class _Sampler:
+    """How the generic suites draw, twin and compare elements of one model.
+
+    ``gen(rng, cfg, pool=s)`` draws a member of the petal of ``s``.
+    """
+
+    model: Model
     gen: Callable
-    member: Callable
-    metric: Callable
-    trace: Callable
-    in_petal: Callable
-    petal_distance: Callable
-    equal: Callable
     twin: Callable
-    to_json: Callable
-    covering: Optional[Callable] = None
-    approximate: Optional[Callable] = None
-    extend: Optional[Callable] = None
+    equal: Callable = operator.eq
 
 
-_F = _ModelOps(
-    name="f",
-    gen=gen_support_map,
-    member=lambda rng, cfg, s: gen_support_map(rng, cfg, pool=s),
-    metric=model_f.delta,
-    trace=model_f.trace,
-    in_petal=model_f.in_petal,
-    petal_distance=model_f.petal_distance,
-    equal=lambda a, b: a == b,
-    twin=_twin_f,
-    to_json=lambda v: v.to_json(),
-    covering=model_f.covering_petal,
-    approximate=model_f.approximate_into_petal,
-    extend=model_f.one_point_extension,
-)
-
-_MAPS = _ModelOps(
-    name="maps",
-    gen=gen_cantor_function,
-    member=lambda rng, cfg, s: gen_cantor_function(rng, cfg, pool=s),
-    metric=model_maps.nabla,
-    trace=model_maps.trace,
-    in_petal=model_maps.in_petal,
-    petal_distance=model_maps.petal_distance,
-    equal=lambda a, b: a == b,
-    twin=_twin_maps,
-    to_json=lambda v: v.to_json(),
-    covering=model_maps.covering_petal,
-    approximate=model_maps.approximate_into_petal,
-    extend=model_maps.one_point_extension,
-)
-
-_CPUM = _ModelOps(
-    name="cpum",
-    gen=gen_cpum,
-    member=lambda rng, cfg, s: gen_cpum(rng, cfg, pool=s),
-    metric=model_cpum.ud,
-    trace=model_cpum.trace,
-    in_petal=model_cpum.in_petal,
-    petal_distance=model_cpum.petal_distance,
-    equal=_cpum_same,
-    twin=_twin_cpum,
-    to_json=lambda v: v.to_json(),
-    covering=model_cpum.covering_petal,
-    approximate=model_cpum.approximate_into_petal,
-)
-
-_GH = _ModelOps(
-    name="gh",
-    gen=lambda rng, cfg: GHPoint(gen_space(rng, cfg)),
-    member=lambda rng, cfg, s: GHPoint(gen_space(rng, cfg, pool=s)),
-    metric=na_distance,
-    trace=model_gh.trace,
-    in_petal=model_gh.in_petal,
-    petal_distance=model_gh.petal_distance,
-    equal=lambda a, b: a == b,
-    twin=_twin_gh,
-    to_json=lambda v: v.space.to_json(),
-)
-
-MODELS = {"f": _F, "maps": _MAPS, "cpum": _CPUM, "gh": _GH}
+# one module-level name per record, as for the records in petal.py
+_F = _Sampler(F, gen_support_map, _twin_f)
+_MAPS = _Sampler(MAPS, gen_cantor_function, _twin_maps)
+_CPUM = _Sampler(CPUM, gen_cpum, _twin_cpum, equal=_cpum_same)
+_GH = _Sampler(GH, lambda rng, cfg, pool=None: GHPoint(gen_space(rng, cfg, pool=pool)), _twin_gh)
 
 
 # ---------------------------------------------------------------------------
 # property checks; each returns None on success or a counterexample dict
 
 
-def _prop_metric_axioms(ops: _ModelOps, rng, cfg, n):
+def _prop_metric_axioms(ops: _Sampler, rng, cfg, n):
     for t in range(n):
         x = ops.gen(rng, cfg)
         y = ops.twin(rng, x) if t % 5 == 0 else ops.gen(rng, cfg)
         z = ops.gen(rng, cfg)
         bad = None
-        dxy = ops.metric(x, y)
-        if ops.metric(y, x) != dxy:
+        dxy = ops.model.metric(x, y)
+        if ops.model.metric(y, x) != dxy:
             bad = "symmetry"
-        elif ops.metric(x, x) != ZERO:
+        elif ops.model.metric(x, x) != ZERO:
             bad = "self-distance"
         elif (dxy == ZERO) != ops.equal(x, y):
             bad = "identity-of-indiscernibles"
         else:
-            dxz = ops.metric(x, z)
-            dzy = ops.metric(z, y)
+            dxz = ops.model.metric(x, z)
+            dzy = ops.model.metric(z, y)
             if dxy > (dxz if dxz > dzy else dzy):
                 bad = "strong-triangle"
         if bad:
             return {
                 "trial": t,
                 "violated": bad,
-                "x": ops.to_json(x),
-                "y": ops.to_json(y),
-                "z": ops.to_json(z),
+                "x": x.to_json(),
+                "y": y.to_json(),
+                "z": z.to_json(),
             }
     return None
 
 
-def _prop_p1_valued(ops: _ModelOps, rng, cfg, n):
+def _prop_p1_valued(ops: _Sampler, rng, cfg, n):
     # distances inside one petal stay inside its range set
     for t in range(n):
         s = gen_range_set(rng, cfg)
-        m1 = ops.member(rng, cfg, s)
-        m2 = ops.member(rng, cfg, s)
-        if ops.metric(m1, m2) not in s:
-            return {"trial": t, "x": ops.to_json(m1), "y": ops.to_json(m2), "S": s.to_json()}
+        m1 = ops.gen(rng, cfg, pool=s)
+        m2 = ops.gen(rng, cfg, pool=s)
+        if ops.model.metric(m1, m2) not in s:
+            return {"trial": t, "x": m1.to_json(), "y": m2.to_json(), "S": s.to_json()}
     return None
 
 
-def _prop_p2_trace(ops: _ModelOps, rng, cfg, n):
+def _prop_p2_trace(ops: _Sampler, rng, cfg, n):
     # every element lies in the petal of its trace, and in no smaller one
     for t in range(n):
         x = ops.gen(rng, cfg)
-        tr = ops.trace(x)
-        if not ops.in_petal(x, tr):
-            return {"trial": t, "violated": "membership", "x": ops.to_json(x)}
+        tr = ops.model.trace(x)
+        if not ops.model.in_petal(x, tr):
+            return {"trial": t, "violated": "membership", "x": x.to_json()}
         for value in tr.positives():
             smaller = RangeSet(e for e in tr.elems if e != value)
-            if ops.in_petal(x, smaller):
-                return {"trial": t, "violated": "minimality", "x": ops.to_json(x), "dropped": str(value)}
+            if ops.model.in_petal(x, smaller):
+                return {"trial": t, "violated": "minimality", "x": x.to_json(), "dropped": str(value)}
     return None
 
 
-def _prop_p3(ops: _ModelOps, rng, cfg, n):
+def _prop_p3(ops: _Sampler, rng, cfg, n):
     for t in range(n):
         s = gen_range_set(rng, cfg)
         t2 = gen_range_set(rng, cfg)
         if t % 3 == 0:
-            x = ops.member(rng, cfg, s.intersect(t2))
+            x = ops.gen(rng, cfg, pool=s.intersect(t2))
         elif t % 3 == 1:
-            x = ops.member(rng, cfg, s)
+            x = ops.gen(rng, cfg, pool=s)
         else:
             x = ops.gen(rng, cfg)
-        both = ops.in_petal(x, s) and ops.in_petal(x, t2)
-        if both != ops.in_petal(x, s.intersect(t2)):
-            return {"trial": t, "x": ops.to_json(x), "S": s.to_json(), "T": t2.to_json()}
+        both = ops.model.in_petal(x, s) and ops.model.in_petal(x, t2)
+        if both != ops.model.in_petal(x, s.intersect(t2)):
+            return {"trial": t, "x": x.to_json(), "S": s.to_json(), "T": t2.to_json()}
     return None
 
 
-def _prop_p4(ops: _ModelOps, rng, cfg, n):
+def _prop_p4(ops: _Sampler, rng, cfg, n):
     for t in range(n):
         s = gen_range_set(rng, cfg)
-        x = ops.member(rng, cfg, gen_range_set(rng, cfg)) if t % 2 else ops.gen(rng, cfg)
-        u, _ = ops.petal_distance(x, s)
-        tr = ops.trace(x)
+        x = ops.gen(rng, cfg, pool=gen_range_set(rng, cfg)) if t % 2 else ops.gen(rng, cfg)
+        u, _ = ops.model.petal_distance(x, s)
+        tr = ops.model.trace(x)
         # the trace is the least range set whose petal holds x, so the
         # membership below implies it for every T with x in its petal
         big_t = tr.union(gen_range_set(rng, cfg))
         ok = u == ZERO or (u in tr and u in big_t and u not in s)
         if not ok:
-            return {"trial": t, "x": ops.to_json(x), "S": s.to_json(), "T": big_t.to_json(), "value": str(u)}
+            return {"trial": t, "x": x.to_json(), "S": s.to_json(), "T": big_t.to_json(), "value": str(u)}
     return None
 
 
-def _prop_petal_formula(ops: _ModelOps, rng, cfg, n, members: int = 100):
+def _prop_petal_formula(ops: _Sampler, rng, cfg, n, members: int = 100):
     for t in range(n):
         s = gen_range_set(rng, cfg)
         x = ops.gen(rng, cfg)
-        u, witness = ops.petal_distance(x, s)
-        tr = ops.trace(x)
+        u, witness = ops.model.petal_distance(x, s)
+        tr = ops.model.trace(x)
         expected = next(cand for cand in tr.elems if tr.tail_subset(s, cand))
         fail = None
         if u != expected:
             fail = "formula"
-        elif not ops.in_petal(witness, s):
+        elif not ops.model.in_petal(witness, s):
             fail = "witness-membership"
-        elif ops.metric(x, witness) != u:
+        elif ops.model.metric(x, witness) != u:
             fail = "witness-distance"
         else:
             for _ in range(members):
-                other = ops.member(rng, cfg, s)
-                if ops.metric(x, other) < u:
+                other = ops.gen(rng, cfg, pool=s)
+                if ops.model.metric(x, other) < u:
                     fail = "closer-member"
                     break
         if fail:
-            return {"trial": t, "violated": fail, "x": ops.to_json(x), "S": s.to_json()}
+            return {"trial": t, "violated": fail, "x": x.to_json(), "S": s.to_json()}
     return None
 
 
-def _prop_trace_tail(ops: _ModelOps, rng, cfg, n):
+def _prop_trace_tail(ops: _Sampler, rng, cfg, n):
     for t in range(n):
         x = ops.gen(rng, cfg)
         y = ops.gen(rng, cfg)
-        w = ops.metric(x, y)
+        w = ops.model.metric(x, y)
         if t % 2:
             higher = [v for v in cfg.scale_pool.elems if v >= w]
             if higher:
                 w = higher[rng.randrange(len(higher))]
-        above_x = {e for e in ops.trace(x).elems if e > w}
-        above_y = {e for e in ops.trace(y).elems if e > w}
+        above_x = {e for e in ops.model.trace(x).elems if e > w}
+        above_y = {e for e in ops.model.trace(y).elems if e > w}
         if above_x != above_y:
-            return {"trial": t, "x": ops.to_json(x), "y": ops.to_json(y), "w": str(w)}
+            return {"trial": t, "x": x.to_json(), "y": y.to_json(), "w": str(w)}
     return None
 
 
-def _prop_covering(ops: _ModelOps, rng, cfg, n):
+def _prop_covering(ops: _Sampler, rng, cfg, n):
     for t in range(n):
         points = [ops.gen(rng, cfg) for _ in range(rng.randint(0, 4))]
-        s = ops.covering(points)
-        if not all(ops.in_petal(p, s) for p in points):
-            return {"trial": t, "points": [ops.to_json(p) for p in points], "S": s.to_json()}
+        s = ops.model.covering_petal(points)
+        if not all(ops.model.in_petal(p, s) for p in points):
+            return {"trial": t, "points": [p.to_json() for p in points], "S": s.to_json()}
     return None
 
 
-def _prop_approximate(ops: _ModelOps, rng, cfg, n):
+def _prop_approximate(ops: _Sampler, rng, cfg, n):
     for t in range(n):
         x = ops.gen(rng, cfg)
         s = gen_range_set(rng, cfg)
         positives = cfg.scale_pool.positives()
         r = positives[rng.randrange(len(positives))]
-        widened, g = ops.approximate(x, s, r)
+        widened, g = ops.model.approximate_into_petal(x, s, r)
         ok = (
-            ops.in_petal(g, widened)
-            and ops.metric(x, g) < r
+            ops.model.in_petal(g, widened)
+            and ops.model.metric(x, g) < r
             and s.issubset(widened)
         )
         if not ok:
-            return {"trial": t, "x": ops.to_json(x), "S": s.to_json(), "r": str(r)}
+            return {"trial": t, "x": x.to_json(), "S": s.to_json(), "r": str(r)}
     return None
 
 
-def _prop_extension(ops: _ModelOps, rng, cfg, n):
+def _prop_extension(ops: _Sampler, rng, cfg, n):
     for t in range(n):
         if t % 3 == 2:
             # an unrealisable request must be rejected
@@ -466,7 +408,7 @@ def _prop_extension(ops: _ModelOps, rng, cfg, n):
             for _ in range(50):
                 a = ops.gen(rng, cfg)
                 b = ops.gen(rng, cfg)
-                gap = ops.metric(a, b)
+                gap = ops.model.metric(a, b)
                 if gap > ZERO:
                     pair = (a, b, gap)
                     break
@@ -474,28 +416,28 @@ def _prop_extension(ops: _ModelOps, rng, cfg, n):
                 continue
             a, b, gap = pair
             try:
-                ops.extend([a, b], [gap / 2, gap / 2])
+                ops.model.extend([a, b], [gap / 2, gap / 2])
             except Inconsistent:
                 continue
-            return {"trial": t, "violated": "missing-rejection", "x": ops.to_json(a), "y": ops.to_json(b)}
+            return {"trial": t, "violated": "missing-rejection", "x": a.to_json(), "y": b.to_json()}
         count = rng.randint(1, 8)
         petal: RangeSet | None = None
         if t % 3 == 1:
             petal = gen_range_set(rng, cfg)
-            points = [ops.member(rng, cfg, petal) for _ in range(count + 1)]
+            points = [ops.gen(rng, cfg, pool=petal) for _ in range(count + 1)]
         else:
             points = [ops.gen(rng, cfg) for _ in range(count + 1)]
         omega, anchors = points[-1], points[:-1]
-        targets = [ops.metric(omega, a) for a in anchors]
-        theta = ops.extend(anchors, targets)
-        if any(ops.metric(theta, a) != d for a, d in zip(anchors, targets)):
+        targets = [ops.model.metric(omega, a) for a in anchors]
+        theta = ops.model.extend(anchors, targets)
+        if any(ops.model.metric(theta, a) != d for a, d in zip(anchors, targets)):
             return {
                 "trial": t,
                 "violated": "distance",
-                "anchors": [ops.to_json(a) for a in anchors],
+                "anchors": [a.to_json() for a in anchors],
                 "targets": [str(d) for d in targets],
             }
-        if petal is not None and not ops.in_petal(theta, petal):
+        if petal is not None and not ops.model.in_petal(theta, petal):
             return {"trial": t, "violated": "petal-preservation", "S": petal.to_json()}
     return None
 
@@ -752,27 +694,34 @@ class PartialIsometry:
                     raise InvariantViolation(-1, (i, j))
 
 
+def _extend_both_ways(pairing: PartialIsometry, left: _Sampler, right: _Sampler, rng, cfg) -> None:
+    """``cfg.trials`` rounds, each mirroring a fresh point one way, then the other.
+
+    A fresh left point is mirrored to the right through a one-point
+    extension at its exact distances, then a fresh right point is
+    mirrored back; every addition is re-verified against the whole
+    pairing.
+    """
+    left_gen, left_metric, left_extend = left.gen, left.model.metric, left.model.extend
+    right_gen, right_metric, right_extend = right.gen, right.model.metric, right.model.extend
+    for k in range(cfg.trials):
+        x = left_gen(rng, cfg)
+        y = right_extend(pairing.right, [left_metric(x, l) for l in pairing.left])
+        pairing.append_checked(x, y, step=2 * k)
+        g = right_gen(rng, cfg)
+        f = left_extend(pairing.left, [right_metric(g, r) for r in pairing.right])
+        pairing.append_checked(f, g, step=2 * k + 1)
+
+
 def back_and_forth(cfg: TrialConfig) -> PartialIsometry:
     """Grow an exact partial isometry between the two function models.
 
     Each round first mirrors a fresh support map into the locally
-    constant model through a one-point extension at its exact distances,
-    then mirrors a fresh locally constant function back.  Every addition
-    is re-verified against the whole pairing.
+    constant model, then mirrors a fresh locally constant function back.
     """
     rng = spawn_rng(cfg.seed, 1)
-    pairing = PartialIsometry([], [], model_f.delta, model_maps.nabla)
-    for k in range(cfg.trials):
-        x = gen_support_map(rng, cfg)
-        y = model_maps.one_point_extension(
-            pairing.right, [model_f.delta(x, l) for l in pairing.left]
-        )
-        pairing.append_checked(x, y, step=2 * k)
-        g = gen_cantor_function(rng, cfg)
-        f = model_f.one_point_extension(
-            pairing.left, [model_maps.nabla(g, r) for r in pairing.right]
-        )
-        pairing.append_checked(f, g, step=2 * k + 1)
+    pairing = PartialIsometry([], [], F.metric, MAPS.metric)
+    _extend_both_ways(pairing, _F, _MAPS, rng, cfg)
     return pairing
 
 
@@ -806,19 +755,9 @@ def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int | None = None) -> P
         copy = [SupportMap()] * size
         for a in range(size):
             copy[order[a]] = images[f"q{a}"]
-    pairing = PartialIsometry(list(points), copy, model_f.delta, model_f.delta)
+    pairing = PartialIsometry(list(points), copy, F.metric, F.metric)
     pairing.verify()
-    for k in range(cfg.trials):
-        x = gen_support_map(rng, cfg)
-        y = model_f.one_point_extension(
-            pairing.right, [model_f.delta(x, l) for l in pairing.left]
-        )
-        pairing.append_checked(x, y, step=2 * k)
-        z = gen_support_map(rng, cfg)
-        w = model_f.one_point_extension(
-            pairing.left, [model_f.delta(z, r) for r in pairing.right]
-        )
-        pairing.append_checked(w, z, step=2 * k + 1)
+    _extend_both_ways(pairing, _F, _F, rng, cfg)
     return pairing
 
 

@@ -16,8 +16,18 @@ ZERO = Fraction(0)
 
 
 def as_scale(value: ScaleLike) -> Fraction:
-    """Coerce ``value`` to an exact non-negative rational."""
-    x = value if isinstance(value, Fraction) else Fraction(value)
+    """Coerce ``value`` to an exact non-negative rational.
+
+    Only a Fraction, an int or a string is accepted; a float or a bool
+    (say, from a JSON number) would be read as a rational it was never
+    meant to be.  The exact type test refuses bool, an int subclass.
+    """
+    if isinstance(value, Fraction):
+        x = value
+    elif type(value) in (str, int):
+        x = Fraction(value)
+    else:
+        raise ValueError(f"scale must be a string or an integer, got {value!r}")
     if x < 0:
         raise ValueError(f"scale must be non-negative, got {x}")
     return x

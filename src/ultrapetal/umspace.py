@@ -51,6 +51,8 @@ def check_matrix(
     off-diagonal entries (pseudo-ultrametrics).
     """
     n = len(names)
+    if not isinstance(dist, (list, tuple)) or any(not isinstance(row, (list, tuple)) for row in dist):
+        raise SpaceError("distance matrix must be a list of rows")
     if len(dist) != n or any(len(row) != n for row in dist):
         raise SpaceError(f"distance matrix must be {n}x{n}")
     rows = tuple(tuple(as_scale(v) for v in row) for row in dist)
@@ -290,6 +292,8 @@ class FiniteUltraSpace:
     def from_json(cls, data: object) -> "FiniteUltraSpace":
         if not isinstance(data, Mapping) or "points" not in data or "dist" not in data:
             raise SpaceError('space file must be {"points": [...], "dist": [[...]]}')
+        if not isinstance(data["points"], list):
+            raise ValueError("points must be a JSON array of labels")
         return cls(data["points"], data["dist"])
 
 

@@ -64,6 +64,28 @@ def test_dist_models(tmp_path, capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+def test_dist_gh_matches_na(tmp_path, space_file, capsys):
+    pair = write(tmp_path, "pair.json", {"points": ["p", "q"], "dist": [["0", "1"], ["1", "0"]]})
+    assert main(["na", space_file, pair]) == 0
+    expected = capsys.readouterr().out
+    assert main(["dist", "--model", "gh", space_file, pair]) == 0
+    assert capsys.readouterr().out == expected == "1/2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", {"points": ["a", "b"], "dist": [[0, 0.1], [0.1, 0]]}],
+    ["validate", {"points": ["a", "b"], "dist": [[0, True], [True, 0]]}],
+    ["validate", {"points": "ab", "dist": [["0", "1"], ["1", "0"]]}],
+    ["dist", "--model", "f", {"support": [5]}, {"support": [["1", 1]]}],
+    ["dist", "--model", "cpum", {"cells": ["0", "1"], "dist": 5}, {"cells": [""], "dist": [["0"]]}],
+], ids=["float-distance", "bool-distance", "string-points", "support-entry", "cpum-dist"])
+def test_malformed_input_exits_one(tmp_path, capsys, argv):
+    # an exception escaping main would be a traceback at the command line
+    args = [write(tmp_path, f"in{k}.json", a) if isinstance(a, dict) else a for k, a in enumerate(argv)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_petal_dist_with_witness(tmp_path, capsys):
     element = write(tmp_path, "x.json", {"support": [["1", 1], ["1/3", 2]]})
     witness_path = tmp_path / "w.json"

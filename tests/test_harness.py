@@ -1,12 +1,18 @@
+import hashlib
+import json
+
 import pytest
 
 from ultrapetal import model_f, model_maps
+from ultrapetal.petal import MODELS
 from ultrapetal.petal_harness import (
-    MODELS,
+    _GH,
     SUITES,
     InvariantViolation,
     PartialIsometry,
     TrialConfig,
+    _prop_approximate,
+    _prop_covering,
     back_and_forth,
     backforth_report,
     gen_cantor_function,
@@ -151,3 +157,34 @@ def test_backforth_report_shape():
 def test_models_registry_complete():
     assert set(MODELS) == {"f", "maps", "cpum", "gh"}
     assert set(SUITES) == {"f", "maps", "cpum", "gh"}
+
+
+def test_gh_approximation_and_covering():
+    cfg = TrialConfig(seed=13, trials=40)
+    for prop in (_prop_approximate, _prop_covering):
+        assert prop(_GH, spawn_rng(13, 0), cfg, 40) is None
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_pinned_pairings_and_suite_table():
+    # fixed digests: a change to any generator's random stream, to the
+    # order of draws, or to an extension's output changes them
+    runs = (
+        (back_and_forth(TrialConfig(seed=3, trials=10)),
+         "b03064f4c14ca6f9b37d5a01e716d41958cb1fd9f3c102764f9401ec19c99161"),
+        (ultrahomogeneity_demo(TrialConfig(seed=3, trials=10), subset_size=3),
+         "5a8473c74eee6813df0287abab70c06c453a0a98c8d60978f8e34713c19cf652"),
+    )
+    for pairing, digest in runs:
+        pairs = [[x.to_json() for x in pairing.left], [y.to_json() for y in pairing.right]]
+        assert _sha256(pairs) == digest
+    cfg = TrialConfig(seed=5, trials=40)
+    table = {
+        f"{model}/{spec.tag}": list(run_property(model, spec.name, cfg)[:2])
+        for model, specs in SUITES.items()
+        for spec in specs
+    }
+    assert _sha256(table) == "9547484525acc0459b6e1ecccea7dd346df0fc2289eca83087922ff091a9d763"

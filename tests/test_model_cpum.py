@@ -5,13 +5,10 @@ import pytest
 from ultrapetal.cells import cell_owners, refinement
 from ultrapetal.model_cpum import (
     CantorPseudoUltrametric,
-    approximate_into_petal,
-    covering_petal,
-    in_petal,
-    petal_distance,
     trace,
     ud,
 )
+from ultrapetal.petal import CPUM
 from ultrapetal.petal_harness import TrialConfig, gen_cpum, gen_range_set, spawn_rng
 from ultrapetal.scales import RangeSet, ZERO
 from ultrapetal.umspace import NotSymmetric, NotUltrametric, check_matrix
@@ -97,12 +94,12 @@ def test_petal_distance_truncation_witness():
         [["0", "1/3", "1"], ["1/3", "0", "1"], ["1", "1", "0"]],
     )
     s = RangeSet(["0", "1"])
-    value, witness = petal_distance(d, s)
+    value, witness = CPUM.petal_distance(d, s)
     assert value == Fraction(1, 3)
     assert witness.dist[0][1] == ZERO and witness.dist[0][2] == Fraction(1)
-    assert in_petal(witness, s)
+    assert CPUM.in_petal(witness, s)
     assert ud(d, witness) == value
-    member = petal_distance(witness, s)
+    member = CPUM.petal_distance(witness, s)
     assert member == (ZERO, witness)
 
 
@@ -112,21 +109,21 @@ def test_witness_is_valid_pseudo_ultrametric():
     for _ in range(150):
         d = gen_cpum(rng, cfg)
         s = gen_range_set(rng, cfg)
-        _, witness = petal_distance(d, s)
+        _, witness = CPUM.petal_distance(d, s)
         check_matrix(witness.dist, witness.cells, allow_zero=True)
-        assert in_petal(witness, s)
+        assert CPUM.in_petal(witness, s)
 
 
 def test_approximate_and_covering():
     d = CantorPseudoUltrametric(
         ["0", "1"], [["0", "1/8"], ["1/8", "0"]]
     )
-    widened, e = approximate_into_petal(d, RangeSet(), "1/2")
+    widened, e = CPUM.approximate_into_petal(d, RangeSet(), "1/2")
     assert widened.to_json() == ["0"]
     assert e.spectrum().to_json() == ["0"]
     assert ud(d, e) == Fraction(1, 8) < Fraction(1, 2)
-    assert covering_petal([d]).to_json() == ["0", "1/8"]
-    assert covering_petal([]).to_json() == ["0"]
+    assert CPUM.covering_petal([d]).to_json() == ["0", "1/8"]
+    assert CPUM.covering_petal([]).to_json() == ["0"]
 
 
 def test_json_round_trip():

@@ -5,15 +5,12 @@ import pytest
 from ultrapetal.extension import Inconsistent
 from ultrapetal.model_f import (
     SupportMap,
-    approximate_into_petal,
-    covering_petal,
     delta,
     embed_space,
-    in_petal,
     one_point_extension,
-    petal_distance,
     trace,
 )
+from ultrapetal.petal import F
 from ultrapetal.petal_harness import TrialConfig, gen_space, gen_support_map, spawn_rng
 from ultrapetal.scales import RangeSet, ZERO
 from ultrapetal.umspace import FiniteUltraSpace
@@ -67,9 +64,9 @@ def test_trace_examples():
 
 
 def test_in_petal_examples():
-    assert in_petal(SupportMap(), RangeSet())
-    assert in_petal(SupportMap({"1": 1}), RangeSet(["0", "1"]))
-    assert not in_petal(SupportMap({"1": 1, "1/3": 2}), RangeSet(["0", "1"]))
+    assert F.in_petal(SupportMap(), RangeSet())
+    assert F.in_petal(SupportMap({"1": 1}), RangeSet(["0", "1"]))
+    assert not F.in_petal(SupportMap({"1": 1, "1/3": 2}), RangeSet(["0", "1"]))
 
 
 def scan_petal_distance(tr: RangeSet, s: RangeSet) -> Fraction:
@@ -81,12 +78,12 @@ def test_petal_distance_examples():
     f = SupportMap({"1": 1, "1/3": 2})
     s = RangeSet(["0", "1"])
     assert scan_petal_distance(trace(f), s) == Fraction(1, 3)
-    value, witness = petal_distance(f, s)
+    value, witness = F.petal_distance(f, s)
     assert value == Fraction(1, 3)
     assert witness == SupportMap({"1": 1})
     member = SupportMap({"1": 1})
-    assert petal_distance(member, RangeSet(["0", "1"])) == (ZERO, member)
-    value, witness = petal_distance(SupportMap({"1": 1}), RangeSet())
+    assert F.petal_distance(member, RangeSet(["0", "1"])) == (ZERO, member)
+    value, witness = F.petal_distance(SupportMap({"1": 1}), RangeSet())
     assert value == Fraction(1) and witness == SupportMap()
 
 
@@ -97,25 +94,25 @@ def test_petal_distance_matches_scan():
     for _ in range(300):
         f = gen_support_map(rng, cfg)
         s = RangeSet(v for v in pool if rng.random() < 0.5)
-        value, witness = petal_distance(f, s)
+        value, witness = F.petal_distance(f, s)
         assert value == scan_petal_distance(trace(f), s)
-        assert in_petal(witness, s)
+        assert F.in_petal(witness, s)
         assert delta(f, witness) == value
 
 
 def test_approximate_into_petal_examples():
     f = SupportMap({"1": 1, "1/8": 2})
-    widened, g = approximate_into_petal(f, RangeSet(), "1/2")
+    widened, g = F.approximate_into_petal(f, RangeSet(), "1/2")
     assert widened.to_json() == ["0", "1"]
     assert g == SupportMap({"1": 1})
     assert delta(f, g) == Fraction(1, 8) < Fraction(1, 2)
-    widened, g = approximate_into_petal(SupportMap(), RangeSet(["0", "2"]), "1/4")
+    widened, g = F.approximate_into_petal(SupportMap(), RangeSet(["0", "2"]), "1/4")
     assert widened == RangeSet(["0", "2"]) and g == SupportMap()
     member = SupportMap({"1": 1})
-    widened, g = approximate_into_petal(member, RangeSet(["0", "1"]), "1/2")
+    widened, g = F.approximate_into_petal(member, RangeSet(["0", "1"]), "1/2")
     assert widened.to_json() == ["0", "1"] and g == member
     with pytest.raises(ValueError):
-        approximate_into_petal(member, RangeSet(), 0)
+        F.approximate_into_petal(member, RangeSet(), 0)
 
 
 def test_one_point_extension_examples():
@@ -156,7 +153,7 @@ def test_one_point_extension_petal_preservation():
     theta = one_point_extension(anchors, targets)
     for anchor, want in zip(anchors, targets):
         assert delta(theta, anchor) == want
-    assert in_petal(theta, s)
+    assert F.in_petal(theta, s)
 
 
 def test_embed_space_examples():
@@ -185,10 +182,10 @@ def test_embed_space_random_matrices():
 
 
 def test_covering_petal_examples():
-    assert covering_petal([SupportMap()]).to_json() == ["0"]
-    out = covering_petal([SupportMap({"1": 1}), SupportMap({"1/2": 3})])
+    assert F.covering_petal([SupportMap()]).to_json() == ["0"]
+    out = F.covering_petal([SupportMap({"1": 1}), SupportMap({"1/2": 3})])
     assert out.to_json() == ["0", "1/2", "1"]
-    assert covering_petal([]).to_json() == ["0"]
+    assert F.covering_petal([]).to_json() == ["0"]
 
 
 def test_support_map_json_round_trip():

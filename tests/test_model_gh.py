@@ -5,12 +5,11 @@ import pytest
 from ultrapetal.model_gh import (
     GHPoint,
     TooLarge,
-    in_petal,
     na_distance,
     na_oracle,
-    petal_distance,
     trace,
 )
+from ultrapetal.petal import GH
 from ultrapetal.petal_harness import (
     TrialConfig,
     enumerate_small_spaces,
@@ -143,17 +142,17 @@ def test_trace_and_petal_examples():
     x = point(["0", "1/3", "1"], ["1/3", "0", "1"], ["1", "1", "0"])
     assert trace(x).to_json() == ["0", "1/3", "1"]
     s = RangeSet(["0", "1"])
-    assert not in_petal(x, s)
-    value, witness = petal_distance(x, s)
+    assert not GH.in_petal(x, s)
+    value, witness = GH.petal_distance(x, s)
     assert value == Fraction(1, 3)
     assert witness.canonical_form() == x.space.quotient("1/3").canonical_form()
-    assert in_petal(witness, s)
+    assert GH.in_petal(witness, s)
     assert na_distance(x, witness) == value
 
-    member = petal_distance(witness, s)
+    member = GH.petal_distance(witness, s)
     assert member[0] == ZERO and member[1] is witness
 
-    collapse_value, collapse_witness = petal_distance(TWO_ONE, RangeSet())
+    collapse_value, collapse_witness = GH.petal_distance(TWO_ONE, RangeSet())
     assert collapse_value == Fraction(1)
     assert len(collapse_witness.space) == 1
 

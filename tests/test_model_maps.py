@@ -6,15 +6,12 @@ from ultrapetal.cells import cell_owners, check_prefixes, refinement
 from ultrapetal.extension import Inconsistent
 from ultrapetal.model_maps import (
     CantorFunction,
-    approximate_into_petal,
-    covering_petal,
-    in_petal,
     nabla,
     one_point_extension,
-    petal_distance,
     trace,
     zero_function,
 )
+from ultrapetal.petal import MAPS
 from ultrapetal.petal_harness import TrialConfig, gen_cantor_function, spawn_rng
 from ultrapetal.scales import RangeSet, ZERO
 
@@ -99,23 +96,23 @@ def test_trace_examples():
 
 def test_petal_distance_examples():
     f = CantorFunction({"0": "1/2", "1": "0"})
-    value, witness = petal_distance(f, RangeSet())
+    value, witness = MAPS.petal_distance(f, RangeSet())
     assert value == Fraction(1, 2) and witness == zero_function()
     member = CantorFunction({"0": "1", "1": "0"})
-    assert petal_distance(member, RangeSet(["0", "1"])) == (ZERO, member)
+    assert MAPS.petal_distance(member, RangeSet(["0", "1"])) == (ZERO, member)
     f3 = CantorFunction({"00": "1", "01": "1/3", "1": "0"})
-    value, witness = petal_distance(f3, RangeSet(["0", "1"]))
+    value, witness = MAPS.petal_distance(f3, RangeSet(["0", "1"]))
     assert value == Fraction(1, 3)
     assert witness == CantorFunction({"00": "1", "01": "0", "1": "0"})
     assert nabla(f3, witness) == value
-    assert in_petal(witness, RangeSet(["0", "1"]))
+    assert MAPS.in_petal(witness, RangeSet(["0", "1"]))
 
 
 def test_petal_ops_examples():
-    assert in_petal(zero_function(), RangeSet())
-    assert covering_petal([CantorFunction({"0": "1/2", "1": "0"})]).to_json() == ["0", "1/2"]
+    assert MAPS.in_petal(zero_function(), RangeSet())
+    assert MAPS.covering_petal([CantorFunction({"0": "1/2", "1": "0"})]).to_json() == ["0", "1/2"]
     f = CantorFunction({"0": "1/8", "1": "0"})
-    widened, g = approximate_into_petal(f, RangeSet(), "1/2")
+    widened, g = MAPS.approximate_into_petal(f, RangeSet(), "1/2")
     assert widened.to_json() == ["0"]
     assert g == zero_function()
     assert nabla(f, g) == Fraction(1, 8) < Fraction(1, 2)
@@ -156,7 +153,7 @@ def test_one_point_extension_petal_preservation():
     theta = one_point_extension(anchors, targets)
     for anchor, want in zip(anchors, targets):
         assert nabla(theta, anchor) == want
-    assert in_petal(theta, s)
+    assert MAPS.in_petal(theta, s)
 
 
 def test_canonicalization_round_trip():
