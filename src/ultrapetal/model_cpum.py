@@ -29,9 +29,9 @@ class CantorPseudoUltrametric:
     __slots__ = ("cells", "dist")
 
     def __init__(self, cells: Sequence[str], dist: Sequence[Sequence[ScaleLike]]):
-        given = [str(c) for c in cells]
+        given = list(cells)
         ordered = check_prefixes(given)
-        rows = check_matrix(dist, given, allow_zero=True)
+        rows, _ = check_matrix(dist, given, allow_zero=True)
         order = sorted(range(len(given)), key=lambda i: given[i])
         self.cells: tuple[str, ...] = ordered
         self.dist: tuple[tuple[Fraction, ...], ...] = tuple(

@@ -1,14 +1,14 @@
 """The non-Archimedean Gromov-Hausdorff space over finite ultrametric spaces.
 
 Points are isometry classes of finite ultrametric spaces.  The distance
-of two classes is computed by scanning quotient scales; a brute-force
-ambient-space oracle is provided for tiny instances so the scan can be
-checked against the defining infimum.
+of two classes is the least quotient scale at which they agree, found by
+binary search; a brute-force ambient-space oracle is provided for tiny
+instances so the search can be checked against the defining infimum.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -27,20 +27,16 @@ class GHPoint:
     copies compare equal.  Immutable.
     """
 
-    __slots__ = ("space", "_quotient_canon", "_spectrum")
+    __slots__ = ("space",)
 
     def __init__(self, space: FiniteUltraSpace):
         self.space = space
-        self._quotient_canon: dict[Fraction, str] = {}
-        self._spectrum: RangeSet | None = None
 
     def canonical_form(self) -> str:
         return self.space.canonical_form()
 
     def spectrum(self) -> RangeSet:
-        if self._spectrum is None:
-            self._spectrum = self.space.spectrum()
-        return self._spectrum
+        return self.space.spectrum()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GHPoint) and self.canonical_form() == other.canonical_form()
@@ -59,32 +55,21 @@ class GHPoint:
         return cls(FiniteUltraSpace.from_json(data))
 
     def quotient_canon(self, eps: ScaleLike) -> str:
-        """Canonical form of the eps-quotient.
-
-        Quotients only change at spectrum values, so eps is floored to
-        the spectrum and results are cached per floor value.
-        """
-        bound = as_scale(eps)
-        spec = self.spectrum().elems
-        key = spec[bisect_right(spec, bound) - 1]
-        cached = self._quotient_canon.get(key)
-        if cached is None:
-            cached = self.space.quotient(key).canonical_form()
-            self._quotient_canon[key] = cached
-        return cached
+        """Canonical form of the eps-quotient, read off the dendrogram."""
+        return self.space.dendrogram().encode(as_scale(eps))
 
 
 def na_distance(x: GHPoint, y: GHPoint) -> Fraction:
     """Least candidate scale at which the two quotients become isometric.
 
-    Candidates are 0 and the two spectra; the scan terminates because
-    both spaces collapse to a point at the larger diameter.
+    Candidates are 0 and the two spectra, the largest of which always
+    matches.  Quotients compose, so a match at eps holds at every larger
+    eps, and a binary search finds the least one.
     """
     candidates = sorted(set(x.spectrum().elems) | set(y.spectrum().elems))
-    for eps in candidates:
-        if x.quotient_canon(eps) == y.quotient_canon(eps):
-            return eps
-    raise AssertionError("quotient scan must terminate at the joint diameter")
+    return candidates[bisect_left(
+        candidates, True, key=lambda eps: x.quotient_canon(eps) == y.quotient_canon(eps)
+    )]
 
 
 def na_oracle(

@@ -30,9 +30,12 @@ class CantorFunction:
         items = cells.items() if isinstance(cells, Mapping) else list(cells)
         table: dict[str, Fraction] = {}
         for key, value in items:
+            if not isinstance(key, str):
+                # before the dict lookup, where a JSON array would raise TypeError
+                raise ValueError(f"cell prefix must be a binary string, got {key!r}")
             if key in table:
                 raise ValueError(f"duplicate cell prefix {key!r}")
-            table[str(key)] = as_scale(value)
+            table[key] = as_scale(value)
         check_prefixes(table.keys())
         if ZERO not in table.values():
             raise ValueError("the image must contain 0")

@@ -146,11 +146,7 @@ def gen_space(
         cap = 1
     n = rng.randint(1, cap)
     rows = random_ultrametric_rows(rng, n, positives)
-    # ultrametric by construction (dendrogram sampling); validity is
-    # asserted separately in the test suite
-    return FiniteUltraSpace._unchecked(
-        tuple(f"p{i}" for i in range(n)), tuple(tuple(row) for row in rows)
-    )
+    return FiniteUltraSpace([f"p{i}" for i in range(n)], rows)
 
 
 def gen_cpum(
@@ -390,10 +386,13 @@ def _prop_approximate(ops: _Sampler, rng, cfg, n):
         positives = cfg.scale_pool.positives()
         r = positives[rng.randrange(len(positives))]
         widened, g = ops.model.approximate_into_petal(x, s, r)
+        # T may add to S only trace values >= r: finitely many, as the paper's bound needs
+        allowed = s.union(RangeSet(v for v in ops.model.trace(x) if v >= r))
         ok = (
             ops.model.in_petal(g, widened)
             and ops.model.metric(x, g) < r
             and s.issubset(widened)
+            and widened.issubset(allowed)
         )
         if not ok:
             return {"trial": t, "x": x.to_json(), "S": s.to_json(), "r": str(r)}

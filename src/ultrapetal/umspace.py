@@ -9,7 +9,7 @@ space.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
 
@@ -44,11 +44,12 @@ def check_matrix(
     dist: Sequence[Sequence[ScaleLike]],
     names: Sequence[str],
     allow_zero: bool = False,
-) -> tuple[tuple[Fraction, ...], ...]:
+) -> tuple[tuple[tuple[Fraction, ...], ...], "Dendrogram | None"]:
     """Validate a square matrix of scales as a (pseudo-)ultrametric.
 
-    Returns the coerced rows.  ``allow_zero`` admits vanishing
-    off-diagonal entries (pseudo-ultrametrics).
+    Returns the coerced rows and their dendrogram (``None`` for an empty
+    matrix).  ``allow_zero`` admits vanishing off-diagonal entries
+    (pseudo-ultrametrics).
     """
     n = len(names)
     if not isinstance(dist, (list, tuple)) or any(not isinstance(row, (list, tuple)) for row in dist):
@@ -68,6 +69,53 @@ def check_matrix(
                 raise NotPositive(
                     i, j, f"d({names[i]},{names[j]}) must be positive"
                 )
+    if n == 0:
+        return rows, None
+    tree = _build(rows, names)
+    if tree is None:
+        _first_violation(rows, names)
+    return rows, tree
+
+
+def _build(
+    rows: tuple[tuple[Fraction, ...], ...], labels: Sequence[str]
+) -> "Dendrogram | None":
+    """The dendrogram of a symmetric matrix, or None if it is not ultrametric.
+
+    A node's scale is the largest distance from its first point; its
+    children are the classes of ``d < scale``.  Each pair is checked once,
+    at its lowest common ancestor, against that node's scale.
+    """
+    root = Dendrogram()
+    stack = [(root, list(range(len(rows))))]
+    while stack:
+        node, members = stack.pop()
+        if len(members) == 1:
+            node.label = labels[members[0]]
+            continue
+        scale = max(rows[members[0]][q] for q in members)
+        groups: dict[int, list[int]] = {}
+        for q in members:
+            for rep, group in groups.items():
+                if rows[rep][q] < scale:
+                    group.append(q)
+                    break
+            else:
+                groups[q] = [q]
+        seen: list[int] = []
+        for group in groups.values():
+            if any(rows[a][b] != scale for a in group for b in seen):
+                return None
+            seen.extend(group)
+        node.scale = scale
+        node.children = tuple(Dendrogram() for _ in groups)
+        stack.extend(zip(node.children, groups.values()))
+    return root
+
+
+def _first_violation(rows: tuple[tuple[Fraction, ...], ...], names: Sequence[str]) -> None:
+    """Raise NotUltrametric for the first violating triple in scan order."""
+    n = len(rows)
     for i in range(n):
         ri = rows[i]
         for j in range(i + 1, n):
@@ -84,7 +132,7 @@ def check_matrix(
                         f"d({names[i]},{names[j]})={dij} > "
                         f"d({names[i]},{names[k]})={a} v d({names[k]},{names[j]})={b}",
                     )
-    return rows
+    raise AssertionError("a matrix without a dendrogram has a violating triple")
 
 
 class Dendrogram:
@@ -112,20 +160,31 @@ class Dendrogram:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def leaves(self) -> list[str]:
-        if self.is_leaf:
-            return [self.label or ""]
-        out: list[str] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
+    def nodes(self) -> Iterator["Dendrogram"]:
+        """Every node of the tree, in pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
-    def encode(self) -> str:
-        """Label-free canonical encoding: (scale; sorted child encodings)."""
-        if self.is_leaf:
-            return "*"
-        inner = ",".join(sorted(child.encode() for child in self.children))
-        return f"({self.scale};{inner})"
+    def leaves(self) -> list[str]:
+        return [node.label or "" for node in self.nodes() if node.is_leaf]
+
+    def encode(self, floor: Fraction = ZERO) -> str:
+        """Label-free canonical encoding: (scale; sorted child encodings).
+
+        A node at or below ``floor`` is written as a point, which makes
+        this the canonical form of the ``floor``-quotient.
+        """
+        codes: dict[int, str] = {}
+        for node in reversed(list(self.nodes())):
+            inner = [codes.pop(id(child)) for child in node.children]
+            if inner and node.scale > floor:
+                codes[id(node)] = f"({node.scale};{','.join(sorted(inner))})"
+            else:
+                codes[id(node)] = "*"
+        return codes[id(self)]
 
     def to_space(self) -> "FiniteUltraSpace":
         """Reconstruct the space whose dendrogram this is."""
@@ -133,20 +192,14 @@ class Dendrogram:
         index = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
         dist = [[ZERO] * n for _ in range(n)]
-
-        def fill(node: Dendrogram) -> list[str]:
-            if node.is_leaf:
-                return [node.label or ""]
-            groups = [fill(child) for child in node.children]
-            for gi in range(len(groups)):
-                for gj in range(gi + 1, len(groups)):
-                    for a in groups[gi]:
-                        for b in groups[gj]:
-                            ia, ib = index[a], index[b]
-                            dist[ia][ib] = dist[ib][ia] = node.scale
-            return [lab for group in groups for lab in group]
-
-        fill(self)
+        for node in self.nodes():
+            seen: list[int] = []
+            for child in node.children:
+                group = [index[lab] for lab in child.leaves()]
+                for a in group:
+                    for b in seen:
+                        dist[a][b] = dist[b][a] = node.scale
+                seen.extend(group)
         return FiniteUltraSpace(labels, dist)
 
 
@@ -157,7 +210,7 @@ class FiniteUltraSpace:
     diagonal and the strong triangle inequality.
     """
 
-    __slots__ = ("labels", "dist", "_index", "_canon")
+    __slots__ = ("labels", "dist", "_index", "_tree")
 
     def __init__(self, labels: Iterable[str], dist: Sequence[Sequence[ScaleLike]]):
         labs = tuple(str(l) for l in labels)
@@ -166,21 +219,8 @@ class FiniteUltraSpace:
         if len(set(labs)) != len(labs):
             raise SpaceError("point labels must be distinct")
         self.labels = labs
-        self.dist = check_matrix(dist, labs, allow_zero=False)
+        self.dist, self._tree = check_matrix(dist, labs, allow_zero=False)
         self._index = {lab: i for i, lab in enumerate(labs)}
-        self._canon: str | None = None
-
-    @classmethod
-    def _unchecked(
-        cls, labels: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]
-    ) -> "FiniteUltraSpace":
-        # for internal constructions that are ultrametric by proof
-        space = object.__new__(cls)
-        space.labels = labels
-        space.dist = dist
-        space._index = {lab: i for i, lab in enumerate(labels)}
-        space._canon = None
-        return space
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -192,13 +232,8 @@ class FiniteUltraSpace:
         return self.dist[self._index[a]][self._index[b]]
 
     def spectrum(self) -> RangeSet:
-        """All distance values that occur, together with 0."""
-        n = len(self.labels)
-        values = {ZERO}
-        for i in range(n):
-            for j in range(i + 1, n):
-                values.add(self.dist[i][j])
-        return RangeSet(values)
+        """All distance values that occur, together with 0: the dendrogram's scales."""
+        return RangeSet(node.scale for node in self._tree.nodes() if not node.is_leaf)
 
     def quotient(self, eps: ScaleLike) -> "FiniteUltraSpace":
         """Merge points at distance <= eps (closed-ball classes).
@@ -226,41 +261,15 @@ class FiniteUltraSpace:
         dist = tuple(
             tuple(self.dist[a[0]][b[0]] for b in classes) for a in classes
         )
-        return FiniteUltraSpace._unchecked(labels, dist)
+        return FiniteUltraSpace(labels, dist)
 
     def dendrogram(self) -> Dendrogram:
-        dist = self.dist
-
-        def build(indices: list[int]) -> Dendrogram:
-            if len(indices) == 1:
-                return Dendrogram(label=self.labels[indices[0]])
-            diam = ZERO
-            for a in range(len(indices)):
-                for b in range(a + 1, len(indices)):
-                    v = dist[indices[a]][indices[b]]
-                    if v > diam:
-                        diam = v
-            # classes of the relation d < diam; an equivalence by the
-            # strong triangle inequality
-            groups: list[list[int]] = []
-            for i in indices:
-                for group in groups:
-                    if dist[group[0]][i] < diam:
-                        group.append(i)
-                        break
-                else:
-                    groups.append([i])
-            return Dendrogram(
-                scale=diam, children=tuple(build(g) for g in groups)
-            )
-
-        return build(list(range(len(self.labels))))
+        """The tree built when the matrix was validated."""
+        return self._tree
 
     def canonical_form(self) -> str:
         """Canonical string: equal for two spaces iff they are isometric."""
-        if self._canon is None:
-            self._canon = self.dendrogram().encode()
-        return self._canon
+        return self.dendrogram().encode()
 
     def hausdorff(self, a_labels: Iterable[str], b_labels: Iterable[str]) -> Fraction:
         """Hausdorff distance between two nonempty subsets of this space."""
@@ -294,6 +303,8 @@ class FiniteUltraSpace:
             raise SpaceError('space file must be {"points": [...], "dist": [[...]]}')
         if not isinstance(data["points"], list):
             raise ValueError("points must be a JSON array of labels")
+        if any(not isinstance(label, str) for label in data["points"]):
+            raise ValueError("point labels must be strings")
         return cls(data["points"], data["dist"])
 
 

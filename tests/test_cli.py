@@ -78,7 +78,11 @@ def test_dist_gh_matches_na(tmp_path, space_file, capsys):
     ["validate", {"points": "ab", "dist": [["0", "1"], ["1", "0"]]}],
     ["dist", "--model", "f", {"support": [5]}, {"support": [["1", 1]]}],
     ["dist", "--model", "cpum", {"cells": ["0", "1"], "dist": 5}, {"cells": [""], "dist": [["0"]]}],
-], ids=["float-distance", "bool-distance", "string-points", "support-entry", "cpum-dist"])
+    ["validate", {"points": [None, "a"], "dist": [["0", "1"], ["1", "0"]]}],
+    ["dist", "--model", "maps", {"cells": [[10, "1"], [11, "0"], [0, "1"]]}, {"cells": [["", "0"]]}],
+    ["dist", "--model", "cpum", {"cells": [0, 1], "dist": [["0", "1"], ["1", "0"]]}, {"cells": [""], "dist": [["0"]]}],
+], ids=["float-distance", "bool-distance", "string-points", "support-entry", "cpum-dist",
+        "null-label", "number-prefixes", "number-cells"])
 def test_malformed_input_exits_one(tmp_path, capsys, argv):
     # an exception escaping main would be a traceback at the command line
     args = [write(tmp_path, f"in{k}.json", a) if isinstance(a, dict) else a for k, a in enumerate(argv)]

@@ -1,12 +1,16 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from ultrapetal import model_f, model_maps
-from ultrapetal.petal import MODELS
+from ultrapetal.petal import MODELS, Model
 from ultrapetal.petal_harness import (
+    _CPUM,
+    _F,
     _GH,
+    _MAPS,
     SUITES,
     InvariantViolation,
     PartialIsometry,
@@ -163,6 +167,21 @@ def test_gh_approximation_and_covering():
     cfg = TrialConfig(seed=13, trials=40)
     for prop in (_prop_approximate, _prop_covering):
         assert prop(_GH, spawn_rng(13, 0), cfg, 40) is None
+
+
+class _KeepWhole(Model):
+    """A wrong approximation: x itself, with S widened by x's whole trace."""
+
+    def approximate_into_petal(self, x, s, r):
+        return s.union(self.trace(x)), x
+
+
+def test_approximation_check_refuses_trace_values_below_r():
+    cfg = TrialConfig(seed=0, trials=200)
+    for sampler in (_F, _MAPS, _CPUM, _GH):
+        assert _prop_approximate(sampler, spawn_rng(0, 0), cfg, 200) is None
+        mutant = dataclasses.replace(sampler, model=_KeepWhole(**vars(sampler.model)))
+        assert _prop_approximate(mutant, spawn_rng(0, 0), cfg, 200) is not None
 
 
 def _sha256(obj) -> str:

@@ -178,3 +178,27 @@ def test_quotient_contraction():
         assert value <= eps
         if eps != ZERO and eps in x.spectrum():
             assert value == eps
+
+
+def _scan_na(x, y):
+    # reference: the linear quotient scan that the binary search replaced
+    candidates = sorted(set(x.spectrum().elems) | set(y.spectrum().elems))
+    for eps in candidates:
+        if x.space.quotient(eps).canonical_form() == y.space.quotient(eps).canonical_form():
+            return eps
+    raise AssertionError("quotient scan must terminate at the joint diameter")
+
+
+def test_binary_search_matches_linear_scan():
+    rng = spawn_rng(75)
+    cfg = TrialConfig(seed=1, trials=1)
+    for _ in range(1000):
+        x = GHPoint(gen_space(rng, cfg))
+        spec = x.spectrum().elems
+        if rng.random() < 0.4:
+            y = GHPoint(x.space.quotient(spec[rng.randrange(len(spec))]))
+        else:
+            y = GHPoint(gen_space(rng, cfg))
+        assert na_distance(x, y) == _scan_na(x, y)
+        for eps in spec:
+            assert x.quotient_canon(eps) == x.space.quotient(eps).canonical_form()

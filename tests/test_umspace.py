@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ultrapetal.petal_harness import TrialConfig, gen_space, spawn_rng
+from ultrapetal.model_gh import GHPoint, na_distance
+from ultrapetal.petal_harness import TrialConfig, gen_space, random_ultrametric_rows, spawn_rng
 from ultrapetal.scales import RangeSet, ZERO
 from ultrapetal.umspace import (
     EmptySubset,
@@ -12,6 +13,7 @@ from ultrapetal.umspace import (
     NotSymmetric,
     NotUltrametric,
     SpaceError,
+    check_matrix,
     validate,
 )
 
@@ -210,3 +212,109 @@ def test_space_json_round_trip():
     assert again.dist == THREE.dist
     with pytest.raises(SpaceError):
         FiniteUltraSpace.from_json([1, 2, 3])
+
+
+def test_space_json_refuses_non_string_labels():
+    with pytest.raises(ValueError):
+        FiniteUltraSpace.from_json({"points": [None, "a"], "dist": [["0", "1"], ["1", "0"]]})
+
+
+# Reference oracles: the cubic triple scan, the recursive dendrogram and
+# encoding, and the pair-scan spectrum that the single tree replaced.
+
+
+def _ref_violation(rows):
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if rows[i][j] > max(rows[i][k], rows[k][j]):
+                    return (i, j, k)
+    return None
+
+
+def _ref_tree(rows, labels):
+    def build(indices):
+        if len(indices) == 1:
+            return (None, labels[indices[0]], ())
+        diam = max(rows[a][b] for a in indices for b in indices)
+        groups = []
+        for i in indices:
+            for group in groups:
+                if rows[group[0]][i] < diam:
+                    group.append(i)
+                    break
+            else:
+                groups.append([i])
+        return (diam, None, tuple(build(g) for g in groups))
+
+    return build(list(range(len(rows))))
+
+
+def _ref_encode(shape):
+    scale, _, children = shape
+    if not children:
+        return "*"
+    return f"({scale};{','.join(sorted(_ref_encode(c) for c in children))})"
+
+
+def _ref_spectrum(rows):
+    n = len(rows)
+    return RangeSet({rows[i][j] for i in range(n) for j in range(i + 1, n)})
+
+
+def _shape(node):
+    return (node.scale, node.label, tuple(_shape(c) for c in node.children))
+
+
+def _random_matrix(rng, allow_zero):
+    """A random (pseudo-)ultrametric, with one pair perturbed half the time."""
+    n = rng.randint(1, 9)
+    pool = [Fraction(k, 4) for k in range(1, 9)]
+    positives = sorted(rng.sample(pool, rng.randint(1, 4)))
+    rows = random_ultrametric_rows(rng, n, positives)
+    if allow_zero and rng.random() < 0.5:
+        cut = rng.choice(positives)
+        rows = [[v if v > cut else ZERO for v in row] for row in rows]
+    if n > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rng.choice(pool + [ZERO] if allow_zero else pool)
+    return rows
+
+
+def test_single_tree_matches_reference_oracles():
+    rng = random.Random(41)
+    accepted = rejected = 0
+    for t in range(1200):
+        allow_zero = t % 2 == 1
+        rows = _random_matrix(rng, allow_zero)
+        labels = [f"p{i}" for i in range(len(rows))]
+        want = _ref_violation(rows)
+        if want is not None:
+            rejected += 1
+            with pytest.raises(NotUltrametric) as err:
+                check_matrix(rows, labels, allow_zero=allow_zero)
+            assert err.value.indices == want
+            continue
+        accepted += 1
+        _, tree = check_matrix(rows, labels, allow_zero=allow_zero)
+        assert _shape(tree) == _ref_tree(rows, labels)
+        if not allow_zero:
+            space = FiniteUltraSpace(labels, rows)
+            assert space.canonical_form() == _ref_encode(_ref_tree(rows, labels))
+            assert space.spectrum() == _ref_spectrum(rows)
+    assert accepted > 200 and rejected > 200
+
+
+def test_deep_chain_needs_no_recursion():
+    # 1100 nested balls: deeper than the default recursion limit
+    n = 1100
+    scales = [Fraction(1, i + 1) for i in range(n)]
+    rows = [[ZERO if i == j else scales[min(i, j)] for j in range(n)] for i in range(n)]
+    space = validate([f"p{i:04d}" for i in range(n)], rows)
+    assert space.canonical_form().count("(") == n - 1
+    eps = scales[n // 2]
+    q = space.quotient(eps)
+    assert len(q) == n // 2 + 1
+    assert na_distance(GHPoint(space), GHPoint(q)) == eps
+    assert space.dendrogram().to_space().dist == space.dist
