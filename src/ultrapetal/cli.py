@@ -17,7 +17,7 @@ from .extension import Inconsistent
 from .model_gh import GHPoint
 from .petal import MODELS
 from .scales import RangeSet, as_scale, scale_str
-from .umspace import FiniteUltraSpace, SpaceError
+from .umspace import FiniteUltraSpace, NotPositive, NotSymmetric, NotUltrametric
 
 
 def _read_json(path: str):
@@ -107,7 +107,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "validate":
         try:
             _load_space(args.space)
-        except SpaceError as err:
+        except (NotPositive, NotSymmetric, NotUltrametric) as err:
             print(str(err))
             return 1
         print("OK")

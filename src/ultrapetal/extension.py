@@ -1,8 +1,14 @@
-"""Consistency checking shared by the constructive one-point extensions."""
+"""The constructive one-point extension, written once for every model.
+
+A model supplies its metric, its origin and how a new point is placed;
+``extend`` holds the policy and the exact check, ``embed`` the finite case.
+"""
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
+
+from .scales import ScaleLike, ZERO, as_scale
 
 
 class Inconsistent(ValueError):
@@ -50,3 +56,33 @@ def verify_extension(
             if pair is None:
                 pair = (idx, idx)
             raise Inconsistent(*pair)
+
+
+def extend(metric: Callable, origin: Callable, place: Callable, anchors: Sequence, targets: Sequence[ScaleLike]):
+    """A point at the prescribed distances from each anchor.
+
+    With no anchors this is ``origin()``; the first zero target pins it to
+    that anchor; otherwise, with m the least target and i* the first index
+    attaining it, it is ``place(anchors, want, m, i*)``.  Every target is
+    checked exactly, and Inconsistent names a violating pair.
+    """
+    want = [as_scale(t) for t in targets]
+    if len(want) != len(anchors):
+        raise ValueError("anchors and targets must have equal length")
+    if not anchors:
+        return origin()
+    if ZERO in want:
+        theta = anchors[want.index(ZERO)]
+    else:
+        m = min(want)
+        theta = place(anchors, want, m, want.index(m))
+    verify_extension(metric, theta, anchors, want)
+    return theta
+
+
+def embed(extend_one: Callable, space) -> dict:
+    """Image of a finite space, placing its points by ``extend_one`` in label order."""
+    images: dict = {}
+    for label in sorted(space.labels):
+        images[label] = extend_one(list(images.values()), [space.d(label, p) for p in images])
+    return images

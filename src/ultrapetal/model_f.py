@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .extension import Inconsistent, verify_extension
+from .extension import Inconsistent, embed, extend
 from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
 from .umspace import FiniteUltraSpace
 
@@ -96,6 +96,11 @@ def truncate(f: SupportMap, u: Fraction) -> SupportMap:
     return SupportMap((k, v) for k, v in f.entries if k > u)
 
 
+def _place(anchors: Sequence[SupportMap], want: list[Fraction], m: Fraction, i: int) -> SupportMap:
+    fresh = 1 + max(anchor.value_at(m) for anchor, t in zip(anchors, want) if t == m)
+    return SupportMap([(k, v) for k, v in anchors[i].entries if k > m] + [(m, fresh)])
+
+
 def one_point_extension(
     anchors: Sequence[SupportMap], targets: Sequence[ScaleLike]
 ) -> SupportMap:
@@ -112,29 +117,7 @@ def one_point_extension(
     If every anchor lies in the petal of S and every target belongs to S,
     the result lies in the petal of S as well.
     """
-    want = [as_scale(t) for t in targets]
-    if len(want) != len(anchors):
-        raise ValueError("anchors and targets must have equal length")
-    if not anchors:
-        return SupportMap()
-    theta: SupportMap | None = None
-    for idx, t in enumerate(want):
-        if t == ZERO:
-            theta = anchors[idx]
-            break
-    if theta is None:
-        m = min(want)
-        base = anchors[want.index(m)]
-        fresh = 1 + max(
-            anchor.value_at(m)
-            for anchor, t in zip(anchors, want)
-            if t == m
-        )
-        entries = [(k, v) for k, v in base.entries if k > m]
-        entries.append((m, fresh))
-        theta = SupportMap(entries)
-    verify_extension(delta, theta, anchors, want)
-    return theta
+    return extend(delta, SupportMap, _place, anchors, targets)
 
 
 def embed_space(space: FiniteUltraSpace) -> dict[str, SupportMap]:
@@ -144,14 +127,7 @@ def embed_space(space: FiniteUltraSpace) -> dict[str, SupportMap]:
     zero map and each later one placed by a one-point extension; the
     image reproduces the distance matrix exactly.
     """
-    images: dict[str, SupportMap] = {}
-    placed: list[str] = []
-    for label in sorted(space.labels):
-        anchors = [images[p] for p in placed]
-        targets = [space.d(label, p) for p in placed]
-        images[label] = one_point_extension(anchors, targets)
-        placed.append(label)
-    return images
+    return embed(one_point_extension, space)
 
 
 __all__ = [

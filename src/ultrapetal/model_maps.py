@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .cells import cell_owners, check_prefixes, merge_equal_siblings, refinement
-from .extension import Inconsistent, verify_extension
+from .extension import Inconsistent, extend
 from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
 
 
@@ -112,6 +112,25 @@ def truncate(f: CantorFunction, u: Fraction) -> CantorFunction:
     return CantorFunction((k, v if v > u else ZERO) for k, v in f.cells)
 
 
+def _place(anchors: Sequence[CantorFunction], want: list[Fraction], m: Fraction, i: int) -> CantorFunction:
+    base = anchors[i]
+    refined = refinement(tuple(a.prefixes() for a in anchors))
+    owners = cell_owners(refined, base.prefixes())
+    split, zero_cell = next(
+        (cell, base.cells[owner][0])
+        for cell, owner in zip(refined, owners)
+        if base.cells[owner][1] == ZERO
+    )
+    table = {k: v for k, v in base.cells if k != zero_cell}
+    walk = zero_cell
+    for step in split[len(zero_cell):]:
+        table[walk + ("1" if step == "0" else "0")] = ZERO
+        walk += step
+    table[split + "0"] = m
+    table[split + "1"] = ZERO
+    return CantorFunction(table)
+
+
 def one_point_extension(
     anchors: Sequence[CantorFunction], targets: Sequence[ScaleLike]
 ) -> CantorFunction:
@@ -129,36 +148,7 @@ def one_point_extension(
     Raises Inconsistent (with a violating index pair) when the targets
     cannot be realised.
     """
-    want = [as_scale(t) for t in targets]
-    if len(want) != len(anchors):
-        raise ValueError("anchors and targets must have equal length")
-    if not anchors:
-        return zero_function()
-    theta: CantorFunction | None = None
-    for idx, t in enumerate(want):
-        if t == ZERO:
-            theta = anchors[idx]
-            break
-    if theta is None:
-        m = min(want)
-        base = anchors[want.index(m)]
-        refined = refinement(tuple(a.prefixes() for a in anchors))
-        owners = cell_owners(refined, base.prefixes())
-        split, zero_cell = next(
-            (cell, base.cells[owner][0])
-            for cell, owner in zip(refined, owners)
-            if base.cells[owner][1] == ZERO
-        )
-        table = {k: v for k, v in base.cells if k != zero_cell}
-        walk = zero_cell
-        for step in split[len(zero_cell):]:
-            table[walk + ("1" if step == "0" else "0")] = ZERO
-            walk += step
-        table[split + "0"] = m
-        table[split + "1"] = ZERO
-        theta = CantorFunction(table)
-    verify_extension(nabla, theta, anchors, want)
-    return theta
+    return extend(nabla, zero_function, _place, anchors, targets)
 
 
 __all__ = [

@@ -20,14 +20,14 @@ from typing import Callable, Sequence
 
 from . import model_f, model_maps
 from .cells import cell_owners, refinement
-from .extension import Inconsistent
+from .extension import Inconsistent, embed
 from .model_cpum import CantorPseudoUltrametric
 from .model_f import SupportMap
 from .model_gh import GHPoint, na_distance, na_oracle
 from .model_maps import CantorFunction
 from .petal import CPUM, F, GH, MAPS, Model
 from .scales import RangeSet, ZERO, as_scale
-from .umspace import FiniteUltraSpace
+from .umspace import FiniteUltraSpace, NotUltrametric
 
 GENERATOR_NAME = "random.Random-MT19937"
 DEFAULT_POOL = RangeSet(["0", "1/4", "1/3", "1/2", "2/3", "1", "2"])
@@ -494,14 +494,8 @@ def _prop_cross_model(rng, cfg, n):
     for t in range(n):
         space = gen_space(rng, cfg, max_points=8)
         f_images = model_f.embed_space(space)
+        m_images = embed(model_maps.one_point_extension, space)
         order = sorted(space.labels)
-        m_images: dict[str, CantorFunction] = {}
-        placed: list[str] = []
-        for label in order:
-            anchors = [m_images[p] for p in placed]
-            targets = [space.d(label, p) for p in placed]
-            m_images[label] = model_maps.one_point_extension(anchors, targets)
-            placed.append(label)
         for a in order:
             for b in order:
                 want = space.d(a, b)
@@ -779,54 +773,27 @@ def backforth_report(cfg: TrialConfig) -> str:
 _CORPUS: list[GHPoint] | None = None
 
 
-def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
-    cap = cap if cap is not None else n
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            out.append((first,) + rest)
-    return out
-
-
 def enumerate_small_spaces(
     scales: Sequence = ("1/4", "1/2", "1"), max_points: int = 3
 ) -> list[GHPoint]:
-    """Every isometry class with <= max_points points over the given scales."""
+    """Every isometry class with <= max_points points over the given scales.
+
+    Tries every symmetric matrix over the positive scales and keeps the
+    ultrametric ones, one per canonical form.
+    """
     positives = sorted({as_scale(s) for s in scales} - {ZERO})
-
-    def matrices(n: int, allowed: list[Fraction]) -> list[tuple[tuple[Fraction, ...], ...]]:
-        if n == 1:
-            return [((ZERO,),)]
-        out = []
-        for si, scale in enumerate(allowed):
-            below = allowed[:si]
-            for blocks in _partitions(n):
-                if len(blocks) < 2:
-                    continue
-                pieces = [matrices(b, below) for b in blocks]
-                for combo in itertools.product(*pieces):
-                    sizes = [len(m) for m in combo]
-                    total = sum(sizes)
-                    rows = [[scale] * total for _ in range(total)]
-                    offset = 0
-                    for piece in combo:
-                        w = len(piece)
-                        for a in range(w):
-                            for b in range(w):
-                                rows[offset + a][offset + b] = piece[a][b]
-                        offset += w
-                    out.append(tuple(tuple(r) for r in rows))
-        return out
-
     seen: dict[str, FiniteUltraSpace] = {}
     for n in range(1, max_points + 1):
-        for rows in matrices(n, positives):
-            space = FiniteUltraSpace([f"p{i}" for i in range(n)], rows)
-            key = space.canonical_form()
-            if key not in seen:
-                seen[key] = space
+        pairs = list(itertools.combinations(range(n), 2))
+        for values in itertools.product(positives, repeat=len(pairs)):
+            rows = [[ZERO] * n for _ in range(n)]
+            for (i, j), v in zip(pairs, values):
+                rows[i][j] = rows[j][i] = v
+            try:
+                space = FiniteUltraSpace([f"p{i}" for i in range(n)], rows)
+            except NotUltrametric:
+                continue
+            seen.setdefault(space.canonical_form(), space)
     ordered = sorted(seen.values(), key=lambda s: (len(s), s.canonical_form()))
     return [GHPoint(s) for s in ordered]
 

@@ -213,7 +213,9 @@ class FiniteUltraSpace:
     __slots__ = ("labels", "dist", "_index", "_tree")
 
     def __init__(self, labels: Iterable[str], dist: Sequence[Sequence[ScaleLike]]):
-        labs = tuple(str(l) for l in labels)
+        labs = tuple(labels)
+        if any(not isinstance(label, str) for label in labs):
+            raise ValueError("point labels must be strings")
         if not labs:
             raise SpaceError("a space needs at least one point")
         if len(set(labs)) != len(labs):
@@ -303,8 +305,6 @@ class FiniteUltraSpace:
             raise SpaceError('space file must be {"points": [...], "dist": [[...]]}')
         if not isinstance(data["points"], list):
             raise ValueError("points must be a JSON array of labels")
-        if any(not isinstance(label, str) for label in data["points"]):
-            raise ValueError("point labels must be strings")
         return cls(data["points"], data["dist"])
 
 

@@ -81,13 +81,18 @@ def test_dist_gh_matches_na(tmp_path, space_file, capsys):
     ["validate", {"points": [None, "a"], "dist": [["0", "1"], ["1", "0"]]}],
     ["dist", "--model", "maps", {"cells": [[10, "1"], [11, "0"], [0, "1"]]}, {"cells": [["", "0"]]}],
     ["dist", "--model", "cpum", {"cells": [0, 1], "dist": [["0", "1"], ["1", "0"]]}, {"cells": [""], "dist": [["0"]]}],
+    ["validate", {"dist": []}],
+    ["validate", {"points": ["a", "b"], "dist": [["0"], ["1"]]}],
 ], ids=["float-distance", "bool-distance", "string-points", "support-entry", "cpum-dist",
-        "null-label", "number-prefixes", "number-cells"])
+        "null-label", "number-prefixes", "number-cells", "missing-points", "two-by-one"])
 def test_malformed_input_exits_one(tmp_path, capsys, argv):
-    # an exception escaping main would be a traceback at the command line
+    # an exception escaping main would be a traceback at the command line;
+    # only validate's axiom verdicts belong on stdout
     args = [write(tmp_path, f"in{k}.json", a) if isinstance(a, dict) else a for k, a in enumerate(argv)]
     assert main(args) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_petal_dist_with_witness(tmp_path, capsys):

@@ -1,0 +1,58 @@
+"""The benchmark's layer tracer must still find and rebind every traced function.
+
+``perfbench/layer_trace.py`` wraps functions at every place the package
+binds them and fails when something it cannot rebind (a ``partial``, a
+default argument, a closure, a tuple) still holds one.  The tracer runs
+in a fresh interpreter: the test modules themselves import traced
+functions by name, which the tracer would rightly report as bindings.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import importlib.util, json, sys
+root = sys.argv[1]
+sys.path.insert(0, root + "/src")
+spec = importlib.util.spec_from_file_location("layer_trace", root + "/perfbench/layer_trace.py")
+layer_trace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layer_trace)
+import ultrapetal
+for name in ("scales", "cells", "umspace", "extension", "model_f", "model_maps",
+             "model_cpum", "model_gh", "petal", "petal_harness", "cli"):
+    importlib.import_module("ultrapetal." + name)
+modules = {name.rsplit(".", 1)[-1]: mod for name, mod in sys.modules.items()
+           if name.startswith("ultrapetal.")}
+modules["ultrapetal"] = ultrapetal
+trace = layer_trace.LayerTrace()
+trace.install(modules)
+try:
+    space = modules["umspace"].FiniteUltraSpace(
+        ["a", "b", "c"], [["0", "1/2", "1"], ["1/2", "0", "1"], ["1", "1", "0"]])
+    modules["model_f"].embed_space(space)
+    counts = {name: trace.count(name) for name in (
+        "model_f.embed_space", "model_f.one_point_extension", "extension.verify_extension")}
+    print(json.dumps({"missing": trace.missing, "counts": counts}))
+finally:
+    trace.uninstall()
+"""
+
+KNOWN_MISSING = {f"model_{m}.petal_distance" for m in ("f", "maps", "cpum", "gh")}
+
+
+def test_tracer_rebinds_every_traced_function():
+    run = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT)], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert set(result["missing"]) <= KNOWN_MISSING
+    assert result["counts"] == {
+        "model_f.embed_space": 1,
+        "model_f.one_point_extension": 3,
+        "extension.verify_extension": 2,
+    }

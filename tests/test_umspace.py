@@ -217,6 +217,8 @@ def test_space_json_round_trip():
 def test_space_json_refuses_non_string_labels():
     with pytest.raises(ValueError):
         FiniteUltraSpace.from_json({"points": [None, "a"], "dist": [["0", "1"], ["1", "0"]]})
+    with pytest.raises(ValueError, match="point labels must be strings"):
+        FiniteUltraSpace([None, 1], [["0", "1"], ["1", "0"]])
 
 
 # Reference oracles: the cubic triple scan, the recursive dendrogram and
