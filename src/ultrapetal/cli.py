@@ -20,9 +20,15 @@ from .scales import RangeSet, as_scale, scale_str
 from .umspace import FiniteUltraSpace, NotPositive, NotSymmetric, NotUltrametric
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    return _parse_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _load_space(path: str) -> FiniteUltraSpace:
@@ -30,11 +36,11 @@ def _load_space(path: str) -> FiniteUltraSpace:
 
 
 def _parse_range(text: str) -> RangeSet:
-    return RangeSet.from_json(json.loads(text))
+    return RangeSet.from_json(_parse_json(text))
 
 
 def _parse_targets(text: str) -> list:
-    data = json.loads(text)
+    data = _parse_json(text)
     if not isinstance(data, list):
         raise ValueError("targets must be a JSON array of scale strings")
     return [as_scale(t) for t in data]

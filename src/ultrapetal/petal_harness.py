@@ -30,7 +30,10 @@ from .scales import RangeSet, ZERO, as_scale
 from .umspace import FiniteUltraSpace, NotUltrametric
 
 GENERATOR_NAME = "random.Random-MT19937"
-DEFAULT_POOL = RangeSet(["0", "1/4", "1/3", "1/2", "2/3", "1", "2"])
+# every generator draws its scales from POOL and its sizes up to these bounds
+POOL = RangeSet(["0", "1/4", "1/3", "1/2", "2/3", "1", "2"])
+MAX_POINTS = 6
+MAX_SUPPORT = 6
 
 _MASK64 = (1 << 64) - 1
 _MIX = 0x9E3779B97F4A7C15
@@ -46,21 +49,14 @@ def spawn_rng(seed: int, *salts: int) -> random.Random:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Knobs for every randomised run."""
+    """The seed and the trial count of a randomised run."""
 
     seed: int = 0
     trials: int = 100
-    max_points: int = 6
-    max_support: int = 6
-    scale_pool: RangeSet = DEFAULT_POOL
 
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
-        if self.max_points < 1 or self.max_support < 1:
-            raise ValueError("size bounds must be at least 1")
-        if len(self.scale_pool.positives()) < 2:
-            raise ValueError("scale pool needs at least two positive values")
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +67,13 @@ def gen_scale(rng: random.Random, pool: RangeSet) -> Fraction:
     return pool.elems[rng.randrange(len(pool.elems))]
 
 
-def gen_range_set(rng: random.Random, cfg: TrialConfig) -> RangeSet:
-    return RangeSet(v for v in cfg.scale_pool.positives() if rng.random() < 0.5)
+def gen_range_set(rng: random.Random) -> RangeSet:
+    return RangeSet(v for v in POOL.positives() if rng.random() < 0.5)
 
 
-def gen_support_map(
-    rng: random.Random, cfg: TrialConfig, pool: RangeSet | None = None
-) -> SupportMap:
-    positives = (pool or cfg.scale_pool).positives()
-    count = rng.randint(0, min(cfg.max_support, len(positives)))
+def gen_support_map(rng: random.Random, pool: RangeSet = POOL) -> SupportMap:
+    positives = pool.positives()
+    count = rng.randint(0, min(MAX_SUPPORT, len(positives)))
     keys = rng.sample(positives, count)
     return SupportMap({key: rng.randint(1, 3) for key in keys})
 
@@ -93,11 +87,8 @@ def gen_partition(rng: random.Random, max_cells: int) -> list[str]:
     return sorted(cells)
 
 
-def gen_cantor_function(
-    rng: random.Random, cfg: TrialConfig, pool: RangeSet | None = None
-) -> CantorFunction:
-    pool = pool or cfg.scale_pool
-    cells = gen_partition(rng, cfg.max_support)
+def gen_cantor_function(rng: random.Random, pool: RangeSet = POOL) -> CantorFunction:
+    cells = gen_partition(rng, MAX_SUPPORT)
     values = {cell: gen_scale(rng, pool) for cell in cells}
     values[cells[rng.randrange(len(cells))]] = ZERO
     return CantorFunction(values)
@@ -135,25 +126,17 @@ def random_ultrametric_rows(
 
 
 def gen_space(
-    rng: random.Random,
-    cfg: TrialConfig,
-    max_points: int | None = None,
-    pool: RangeSet | None = None,
+    rng: random.Random, max_points: int = MAX_POINTS, pool: RangeSet = POOL
 ) -> FiniteUltraSpace:
-    positives = (pool or cfg.scale_pool).positives()
-    cap = max_points if max_points is not None else cfg.max_points
-    if not positives:
-        cap = 1
-    n = rng.randint(1, cap)
+    positives = pool.positives()
+    n = rng.randint(1, max_points if positives else 1)
     rows = random_ultrametric_rows(rng, n, positives)
     return FiniteUltraSpace([f"p{i}" for i in range(n)], rows)
 
 
-def gen_cpum(
-    rng: random.Random, cfg: TrialConfig, pool: RangeSet | None = None
-) -> CantorPseudoUltrametric:
-    positives = (pool or cfg.scale_pool).positives()
-    cells = gen_partition(rng, cfg.max_support)
+def gen_cpum(rng: random.Random, pool: RangeSet = POOL) -> CantorPseudoUltrametric:
+    positives = pool.positives()
+    cells = gen_partition(rng, MAX_SUPPORT)
     n = len(cells)
     if positives and n > 1:
         rows = random_ultrametric_rows(rng, n, positives)
@@ -224,7 +207,7 @@ def _cpum_same(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> bool:
 class _Sampler:
     """How the generic suites draw, twin and compare elements of one model.
 
-    ``gen(rng, cfg, pool=s)`` draws a member of the petal of ``s``.
+    ``gen(rng, pool=s)`` draws a member of the petal of ``s``.
     """
 
     model: Model
@@ -237,304 +220,269 @@ class _Sampler:
 _F = _Sampler(F, gen_support_map, _twin_f)
 _MAPS = _Sampler(MAPS, gen_cantor_function, _twin_maps)
 _CPUM = _Sampler(CPUM, gen_cpum, _twin_cpum, equal=_cpum_same)
-_GH = _Sampler(GH, lambda rng, cfg, pool=None: GHPoint(gen_space(rng, cfg, pool=pool)), _twin_gh)
+_GH = _Sampler(GH, lambda rng, pool=POOL: GHPoint(gen_space(rng, pool=pool)), _twin_gh)
 
 
 # ---------------------------------------------------------------------------
-# property checks; each returns None on success or a counterexample dict
+# property checks; each runs one trial ``t`` and returns None on success
+# or a counterexample dict
 
 
-def _prop_metric_axioms(ops: _Sampler, rng, cfg, n):
-    for t in range(n):
-        x = ops.gen(rng, cfg)
-        y = ops.twin(rng, x) if t % 5 == 0 else ops.gen(rng, cfg)
-        z = ops.gen(rng, cfg)
-        bad = None
-        dxy = ops.model.metric(x, y)
-        if ops.model.metric(y, x) != dxy:
-            bad = "symmetry"
-        elif ops.model.metric(x, x) != ZERO:
-            bad = "self-distance"
-        elif (dxy == ZERO) != ops.equal(x, y):
-            bad = "identity-of-indiscernibles"
-        else:
-            dxz = ops.model.metric(x, z)
-            dzy = ops.model.metric(z, y)
-            if dxy > (dxz if dxz > dzy else dzy):
-                bad = "strong-triangle"
-        if bad:
-            return {
-                "trial": t,
-                "violated": bad,
-                "x": x.to_json(),
-                "y": y.to_json(),
-                "z": z.to_json(),
-            }
-    return None
+def _check_metric_axioms(ops: _Sampler, rng, t):
+    x = ops.gen(rng)
+    y = ops.twin(rng, x) if t % 5 == 0 else ops.gen(rng)
+    z = ops.gen(rng)
+    dxy = ops.model.metric(x, y)
+    if ops.model.metric(y, x) != dxy:
+        bad = "symmetry"
+    elif ops.model.metric(x, x) != ZERO:
+        bad = "self-distance"
+    elif (dxy == ZERO) != ops.equal(x, y):
+        bad = "identity-of-indiscernibles"
+    else:
+        dxz = ops.model.metric(x, z)
+        dzy = ops.model.metric(z, y)
+        if dxy <= (dxz if dxz > dzy else dzy):
+            return None
+        bad = "strong-triangle"
+    return {"violated": bad, "x": x.to_json(), "y": y.to_json(), "z": z.to_json()}
 
 
-def _prop_p1_valued(ops: _Sampler, rng, cfg, n):
+def _check_p1_valued(ops: _Sampler, rng, t):
     # distances inside one petal stay inside its range set
-    for t in range(n):
-        s = gen_range_set(rng, cfg)
-        m1 = ops.gen(rng, cfg, pool=s)
-        m2 = ops.gen(rng, cfg, pool=s)
-        if ops.model.metric(m1, m2) not in s:
-            return {"trial": t, "x": m1.to_json(), "y": m2.to_json(), "S": s.to_json()}
+    s = gen_range_set(rng)
+    m1 = ops.gen(rng, pool=s)
+    m2 = ops.gen(rng, pool=s)
+    if ops.model.metric(m1, m2) not in s:
+        return {"x": m1.to_json(), "y": m2.to_json(), "S": s.to_json()}
     return None
 
 
-def _prop_p2_trace(ops: _Sampler, rng, cfg, n):
+def _check_p2_trace(ops: _Sampler, rng, t):
     # every element lies in the petal of its trace, and in no smaller one
-    for t in range(n):
-        x = ops.gen(rng, cfg)
-        tr = ops.model.trace(x)
-        if not ops.model.in_petal(x, tr):
-            return {"trial": t, "violated": "membership", "x": x.to_json()}
-        for value in tr.positives():
-            smaller = RangeSet(e for e in tr.elems if e != value)
-            if ops.model.in_petal(x, smaller):
-                return {"trial": t, "violated": "minimality", "x": x.to_json(), "dropped": str(value)}
+    x = ops.gen(rng)
+    tr = ops.model.trace(x)
+    if not ops.model.in_petal(x, tr):
+        return {"violated": "membership", "x": x.to_json()}
+    for value in tr.positives():
+        smaller = RangeSet(e for e in tr.elems if e != value)
+        if ops.model.in_petal(x, smaller):
+            return {"violated": "minimality", "x": x.to_json(), "dropped": str(value)}
     return None
 
 
-def _prop_p3(ops: _Sampler, rng, cfg, n):
-    for t in range(n):
-        s = gen_range_set(rng, cfg)
-        t2 = gen_range_set(rng, cfg)
-        if t % 3 == 0:
-            x = ops.gen(rng, cfg, pool=s.intersect(t2))
-        elif t % 3 == 1:
-            x = ops.gen(rng, cfg, pool=s)
+def _check_p3(ops: _Sampler, rng, t):
+    s = gen_range_set(rng)
+    t2 = gen_range_set(rng)
+    if t % 3 == 0:
+        x = ops.gen(rng, pool=s.intersect(t2))
+    elif t % 3 == 1:
+        x = ops.gen(rng, pool=s)
+    else:
+        x = ops.gen(rng)
+    both = ops.model.in_petal(x, s) and ops.model.in_petal(x, t2)
+    if both != ops.model.in_petal(x, s.intersect(t2)):
+        return {"x": x.to_json(), "S": s.to_json(), "T": t2.to_json()}
+    return None
+
+
+def _check_p4(ops: _Sampler, rng, t):
+    s = gen_range_set(rng)
+    x = ops.gen(rng, pool=gen_range_set(rng)) if t % 2 else ops.gen(rng)
+    u, _ = ops.model.petal_distance(x, s)
+    tr = ops.model.trace(x)
+    # the trace is the least range set whose petal holds x, so the
+    # membership below implies it for every T with x in its petal
+    big_t = tr.union(gen_range_set(rng))
+    if not (u == ZERO or (u in tr and u in big_t and u not in s)):
+        return {"x": x.to_json(), "S": s.to_json(), "T": big_t.to_json(), "value": str(u)}
+    return None
+
+
+def _check_petal_formula(ops: _Sampler, rng, t):
+    s = gen_range_set(rng)
+    x = ops.gen(rng)
+    u, witness = ops.model.petal_distance(x, s)
+    tr = ops.model.trace(x)
+    expected = next(cand for cand in tr.elems if tr.tail_subset(s, cand))
+    if u != expected:
+        fail = "formula"
+    elif not ops.model.in_petal(witness, s):
+        fail = "witness-membership"
+    elif ops.model.metric(x, witness) != u:
+        fail = "witness-distance"
+    elif any(ops.model.metric(x, ops.gen(rng, pool=s)) < u for _ in range(100)):
+        fail = "closer-member"
+    else:
+        return None
+    return {"violated": fail, "x": x.to_json(), "S": s.to_json()}
+
+
+def _check_trace_tail(ops: _Sampler, rng, t):
+    x = ops.gen(rng)
+    y = ops.gen(rng)
+    w = ops.model.metric(x, y)
+    if t % 2:
+        higher = [v for v in POOL.elems if v >= w]
+        if higher:
+            w = higher[rng.randrange(len(higher))]
+    above_x = {e for e in ops.model.trace(x).elems if e > w}
+    above_y = {e for e in ops.model.trace(y).elems if e > w}
+    if above_x != above_y:
+        return {"x": x.to_json(), "y": y.to_json(), "w": str(w)}
+    return None
+
+
+def _check_covering(ops: _Sampler, rng, t):
+    points = [ops.gen(rng) for _ in range(rng.randint(0, 4))]
+    s = ops.model.covering_petal(points)
+    if not all(ops.model.in_petal(p, s) for p in points):
+        return {"points": [p.to_json() for p in points], "S": s.to_json()}
+    return None
+
+
+def _check_approximate(ops: _Sampler, rng, t):
+    x = ops.gen(rng)
+    s = gen_range_set(rng)
+    positives = POOL.positives()
+    r = positives[rng.randrange(len(positives))]
+    widened, g = ops.model.approximate_into_petal(x, s, r)
+    # T may add to S only trace values >= r: finitely many, as the paper's bound needs
+    allowed = s.union(RangeSet(v for v in ops.model.trace(x) if v >= r))
+    ok = (
+        ops.model.in_petal(g, widened)
+        and ops.model.metric(x, g) < r
+        and s.issubset(widened)
+        and widened.issubset(allowed)
+    )
+    if not ok:
+        return {"x": x.to_json(), "S": s.to_json(), "r": str(r)}
+    return None
+
+
+def _check_extension(ops: _Sampler, rng, t):
+    if t % 3 == 2:
+        # an unrealisable request must be rejected
+        for _ in range(50):
+            a = ops.gen(rng)
+            b = ops.gen(rng)
+            gap = ops.model.metric(a, b)
+            if gap > ZERO:
+                break
         else:
-            x = ops.gen(rng, cfg)
-        both = ops.model.in_petal(x, s) and ops.model.in_petal(x, t2)
-        if both != ops.model.in_petal(x, s.intersect(t2)):
-            return {"trial": t, "x": x.to_json(), "S": s.to_json(), "T": t2.to_json()}
+            return None
+        try:
+            ops.model.extend([a, b], [gap / 2, gap / 2])
+        except Inconsistent:
+            return None
+        return {"violated": "missing-rejection", "x": a.to_json(), "y": b.to_json()}
+    count = rng.randint(1, 8)
+    petal = gen_range_set(rng) if t % 3 == 1 else None
+    points = [ops.gen(rng, pool=petal or POOL) for _ in range(count + 1)]
+    omega, anchors = points[-1], points[:-1]
+    targets = [ops.model.metric(omega, a) for a in anchors]
+    theta = ops.model.extend(anchors, targets)
+    if any(ops.model.metric(theta, a) != d for a, d in zip(anchors, targets)):
+        return {
+            "violated": "distance",
+            "anchors": [a.to_json() for a in anchors],
+            "targets": [str(d) for d in targets],
+        }
+    if petal is not None and not ops.model.in_petal(theta, petal):
+        return {"violated": "petal-preservation", "S": petal.to_json()}
     return None
 
 
-def _prop_p4(ops: _Sampler, rng, cfg, n):
-    for t in range(n):
-        s = gen_range_set(rng, cfg)
-        x = ops.gen(rng, cfg, pool=gen_range_set(rng, cfg)) if t % 2 else ops.gen(rng, cfg)
-        u, _ = ops.model.petal_distance(x, s)
-        tr = ops.model.trace(x)
-        # the trace is the least range set whose petal holds x, so the
-        # membership below implies it for every T with x in its petal
-        big_t = tr.union(gen_range_set(rng, cfg))
-        ok = u == ZERO or (u in tr and u in big_t and u not in s)
-        if not ok:
-            return {"trial": t, "x": x.to_json(), "S": s.to_json(), "T": big_t.to_json(), "value": str(u)}
-    return None
-
-
-def _prop_petal_formula(ops: _Sampler, rng, cfg, n, members: int = 100):
-    for t in range(n):
-        s = gen_range_set(rng, cfg)
-        x = ops.gen(rng, cfg)
-        u, witness = ops.model.petal_distance(x, s)
-        tr = ops.model.trace(x)
-        expected = next(cand for cand in tr.elems if tr.tail_subset(s, cand))
-        fail = None
-        if u != expected:
-            fail = "formula"
-        elif not ops.model.in_petal(witness, s):
-            fail = "witness-membership"
-        elif ops.model.metric(x, witness) != u:
-            fail = "witness-distance"
-        else:
-            for _ in range(members):
-                other = ops.gen(rng, cfg, pool=s)
-                if ops.model.metric(x, other) < u:
-                    fail = "closer-member"
-                    break
-        if fail:
-            return {"trial": t, "violated": fail, "x": x.to_json(), "S": s.to_json()}
-    return None
-
-
-def _prop_trace_tail(ops: _Sampler, rng, cfg, n):
-    for t in range(n):
-        x = ops.gen(rng, cfg)
-        y = ops.gen(rng, cfg)
-        w = ops.model.metric(x, y)
-        if t % 2:
-            higher = [v for v in cfg.scale_pool.elems if v >= w]
-            if higher:
-                w = higher[rng.randrange(len(higher))]
-        above_x = {e for e in ops.model.trace(x).elems if e > w}
-        above_y = {e for e in ops.model.trace(y).elems if e > w}
-        if above_x != above_y:
-            return {"trial": t, "x": x.to_json(), "y": y.to_json(), "w": str(w)}
-    return None
-
-
-def _prop_covering(ops: _Sampler, rng, cfg, n):
-    for t in range(n):
-        points = [ops.gen(rng, cfg) for _ in range(rng.randint(0, 4))]
-        s = ops.model.covering_petal(points)
-        if not all(ops.model.in_petal(p, s) for p in points):
-            return {"trial": t, "points": [p.to_json() for p in points], "S": s.to_json()}
-    return None
-
-
-def _prop_approximate(ops: _Sampler, rng, cfg, n):
-    for t in range(n):
-        x = ops.gen(rng, cfg)
-        s = gen_range_set(rng, cfg)
-        positives = cfg.scale_pool.positives()
-        r = positives[rng.randrange(len(positives))]
-        widened, g = ops.model.approximate_into_petal(x, s, r)
-        # T may add to S only trace values >= r: finitely many, as the paper's bound needs
-        allowed = s.union(RangeSet(v for v in ops.model.trace(x) if v >= r))
-        ok = (
-            ops.model.in_petal(g, widened)
-            and ops.model.metric(x, g) < r
-            and s.issubset(widened)
-            and widened.issubset(allowed)
-        )
-        if not ok:
-            return {"trial": t, "x": x.to_json(), "S": s.to_json(), "r": str(r)}
-    return None
-
-
-def _prop_extension(ops: _Sampler, rng, cfg, n):
-    for t in range(n):
-        if t % 3 == 2:
-            # an unrealisable request must be rejected
-            pair = None
-            for _ in range(50):
-                a = ops.gen(rng, cfg)
-                b = ops.gen(rng, cfg)
-                gap = ops.model.metric(a, b)
-                if gap > ZERO:
-                    pair = (a, b, gap)
-                    break
-            if pair is None:
-                continue
-            a, b, gap = pair
-            try:
-                ops.model.extend([a, b], [gap / 2, gap / 2])
-            except Inconsistent:
-                continue
-            return {"trial": t, "violated": "missing-rejection", "x": a.to_json(), "y": b.to_json()}
-        count = rng.randint(1, 8)
-        petal: RangeSet | None = None
-        if t % 3 == 1:
-            petal = gen_range_set(rng, cfg)
-            points = [ops.gen(rng, cfg, pool=petal) for _ in range(count + 1)]
-        else:
-            points = [ops.gen(rng, cfg) for _ in range(count + 1)]
-        omega, anchors = points[-1], points[:-1]
-        targets = [ops.model.metric(omega, a) for a in anchors]
-        theta = ops.model.extend(anchors, targets)
-        if any(ops.model.metric(theta, a) != d for a, d in zip(anchors, targets)):
-            return {
-                "trial": t,
-                "violated": "distance",
-                "anchors": [a.to_json() for a in anchors],
-                "targets": [str(d) for d in targets],
-            }
-        if petal is not None and not ops.model.in_petal(theta, petal):
-            return {"trial": t, "violated": "petal-preservation", "S": petal.to_json()}
-    return None
-
-
-def _prop_claim_f(rng, cfg, n):
+def _check_claim_f(rng, t):
     # the distance of two support maps is their top disagreement, both ways
-    for t in range(n):
-        f = gen_support_map(rng, cfg)
-        if t % 2 == 0:
-            g = gen_support_map(rng, cfg)
-            r = model_f.delta(f, g)
-            if r == ZERO:
-                continue
-            keys = {k for k, _ in f.entries} | {k for k, _ in g.entries}
-            if f.value_at(r) == g.value_at(r) or any(
-                f.value_at(k) != g.value_at(k) for k in keys if k > r
-            ):
-                return {"trial": t, "f": f.to_json(), "g": g.to_json(), "r": str(r)}
-        else:
-            positives = cfg.scale_pool.positives()
-            r = positives[rng.randrange(len(positives))]
-            entries = [(k, v) for k, v in f.entries if k > r]
-            entries.append((r, f.value_at(r) + 1))
-            for k in positives:
-                if k < r and rng.random() < 0.5:
-                    entries.append((k, rng.randint(1, 3)))
-            g = SupportMap(entries)
-            if model_f.delta(f, g) != r:
-                return {"trial": t, "f": f.to_json(), "g": g.to_json(), "r": str(r)}
+    f = gen_support_map(rng)
+    if t % 2 == 0:
+        g = gen_support_map(rng)
+        r = model_f.delta(f, g)
+        if r == ZERO:
+            return None
+        keys = {k for k, _ in f.entries} | {k for k, _ in g.entries}
+        if f.value_at(r) == g.value_at(r) or any(
+            f.value_at(k) != g.value_at(k) for k in keys if k > r
+        ):
+            return {"f": f.to_json(), "g": g.to_json(), "r": str(r)}
+        return None
+    positives = POOL.positives()
+    r = positives[rng.randrange(len(positives))]
+    entries = [(k, v) for k, v in f.entries if k > r]
+    entries.append((r, f.value_at(r) + 1))
+    for k in positives:
+        if k < r and rng.random() < 0.5:
+            entries.append((k, rng.randint(1, 3)))
+    g = SupportMap(entries)
+    if model_f.delta(f, g) != r:
+        return {"f": f.to_json(), "g": g.to_json(), "r": str(r)}
     return None
 
 
-def _prop_embed_f(rng, cfg, n):
-    for t in range(n):
-        space = gen_space(rng, cfg, max_points=10)
-        images = model_f.embed_space(space)
-        for a in space.labels:
-            for b in space.labels:
-                if model_f.delta(images[a], images[b]) != space.d(a, b):
-                    return {"trial": t, "space": space.to_json(), "pair": [a, b]}
+def _check_embed_f(rng, t):
+    space = gen_space(rng, max_points=10)
+    images = model_f.embed_space(space)
+    for a in space.labels:
+        for b in space.labels:
+            if model_f.delta(images[a], images[b]) != space.d(a, b):
+                return {"space": space.to_json(), "pair": [a, b]}
     return None
 
 
-def _prop_canonical_maps(rng, cfg, n):
-    for t in range(n):
-        f = gen_cantor_function(rng, cfg)
-        g = _twin_maps(rng, f)
-        if g.cells != f.cells or model_maps.nabla(f, g) != ZERO:
-            return {"trial": t, "f": f.to_json()}
+def _check_canonical_maps(rng, t):
+    f = gen_cantor_function(rng)
+    g = _twin_maps(rng, f)
+    if g.cells != f.cells or model_maps.nabla(f, g) != ZERO:
+        return {"f": f.to_json()}
     return None
 
 
-def _prop_cross_model(rng, cfg, n):
+def _check_cross_model(rng, t):
     # one space, embedded independently in both models, same matrix
-    for t in range(n):
-        space = gen_space(rng, cfg, max_points=8)
-        f_images = model_f.embed_space(space)
-        m_images = embed(model_maps.one_point_extension, space)
-        order = sorted(space.labels)
-        for a in order:
-            for b in order:
-                want = space.d(a, b)
-                if (
-                    model_f.delta(f_images[a], f_images[b]) != want
-                    or model_maps.nabla(m_images[a], m_images[b]) != want
-                ):
-                    return {"trial": t, "space": space.to_json(), "pair": [a, b]}
+    space = gen_space(rng, max_points=8)
+    f_images = model_f.embed_space(space)
+    m_images = embed(model_maps.one_point_extension, space)
+    order = sorted(space.labels)
+    for a in order:
+        for b in order:
+            want = space.d(a, b)
+            if (
+                model_f.delta(f_images[a], f_images[b]) != want
+                or model_maps.nabla(m_images[a], m_images[b]) != want
+            ):
+                return {"space": space.to_json(), "pair": [a, b]}
     return None
 
 
-def _prop_oracle_gh(rng, cfg, n):
-    for x in small_corpus():
-        for y in small_corpus():
-            if na_distance(x, y) != na_oracle(x, y):
-                return {"corpus": True, "x": x.space.to_json(), "y": y.space.to_json()}
-    for t in range(n):
-        nx = rng.randint(1, 5)
-        ny = rng.randint(1, 6 - nx)
-        x = GHPoint(gen_space(rng, cfg, max_points=nx))
-        y = GHPoint(gen_space(rng, cfg, max_points=ny))
-        if na_distance(x, y) != na_oracle(x, y):
-            return {"trial": t, "x": x.space.to_json(), "y": y.space.to_json()}
+def _check_oracle_gh(rng, t):
+    if t == 0:
+        # the exhaustive corpus is swept once, before the random pairs
+        for x in small_corpus():
+            for y in small_corpus():
+                if na_distance(x, y) != na_oracle(x, y):
+                    return {"corpus": True, "x": x.space.to_json(), "y": y.space.to_json()}
+    nx = rng.randint(1, 5)
+    ny = rng.randint(1, 6 - nx)
+    x = GHPoint(gen_space(rng, max_points=nx))
+    y = GHPoint(gen_space(rng, max_points=ny))
+    if na_distance(x, y) != na_oracle(x, y):
+        return {"x": x.space.to_json(), "y": y.space.to_json()}
     return None
 
 
-def _prop_quotient_gh(rng, cfg, n):
-    for t in range(n):
-        x = GHPoint(gen_space(rng, cfg))
-        spectrum = x.space.spectrum()
-        choices = sorted(set(cfg.scale_pool.elems) | set(spectrum.elems))
-        eps = choices[rng.randrange(len(choices))]
-        q = GHPoint(x.space.quotient(eps))
-        dist = na_distance(x, q)
-        if dist > eps:
-            return {"trial": t, "x": x.space.to_json(), "eps": str(eps)}
-        if eps != ZERO and eps in spectrum and dist != eps:
-            # every spectrum value of a finite space is attained
-            return {"trial": t, "violated": "equality", "x": x.space.to_json(), "eps": str(eps)}
+def _check_quotient_gh(rng, t):
+    x = GHPoint(gen_space(rng))
+    spectrum = x.space.spectrum()
+    choices = sorted(set(POOL.elems) | set(spectrum.elems))
+    eps = choices[rng.randrange(len(choices))]
+    q = GHPoint(x.space.quotient(eps))
+    dist = na_distance(x, q)
+    if dist > eps:
+        return {"x": x.space.to_json(), "eps": str(eps)}
+    if eps != ZERO and eps in spectrum and dist != eps:
+        # every spectrum value of a finite space is attained
+        return {"violated": "equality", "x": x.space.to_json(), "eps": str(eps)}
     return None
 
 
@@ -552,54 +500,54 @@ class PropertySpec:
 
 SUITES: dict[str, tuple[PropertySpec, ...]] = {
     "f": (
-        PropertySpec("metric-axioms", "delta_is_ultrametric", 1.0, partial(_prop_metric_axioms, _F)),
-        PropertySpec("max-disagreement-law", "delta_is_top_support_disagreement", 1.0, _prop_claim_f),
-        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_prop_p1_valued, _F)),
-        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_prop_p2_trace, _F)),
-        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_prop_p3, _F)),
-        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_prop_p4, _F)),
-        PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, partial(_prop_petal_formula, _F)),
-        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_prop_trace_tail, _F)),
-        PropertySpec("one-point-extension", "extension_exact_preserving_rejecting", 0.1, partial(_prop_extension, _F)),
-        PropertySpec("finite-embedding", "embed_space_reproduces_matrix", 0.1, _prop_embed_f),
-        PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, partial(_prop_covering, _F)),
-        PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, partial(_prop_approximate, _F)),
+        PropertySpec("metric-axioms", "delta_is_ultrametric", 1.0, partial(_check_metric_axioms, _F)),
+        PropertySpec("max-disagreement-law", "delta_is_top_support_disagreement", 1.0, _check_claim_f),
+        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_check_p1_valued, _F)),
+        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_check_p2_trace, _F)),
+        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_check_p3, _F)),
+        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_check_p4, _F)),
+        PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, partial(_check_petal_formula, _F)),
+        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_check_trace_tail, _F)),
+        PropertySpec("one-point-extension", "extension_exact_preserving_rejecting", 0.1, partial(_check_extension, _F)),
+        PropertySpec("finite-embedding", "embed_space_reproduces_matrix", 0.1, _check_embed_f),
+        PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, partial(_check_covering, _F)),
+        PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, partial(_check_approximate, _F)),
     ),
     "maps": (
-        PropertySpec("metric-axioms", "nabla_is_ultrametric", 1.0, partial(_prop_metric_axioms, _MAPS)),
-        PropertySpec("canonical-merge", "canonical_form_unique", 0.1, _prop_canonical_maps),
-        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_prop_p1_valued, _MAPS)),
-        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_prop_p2_trace, _MAPS)),
-        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_prop_p3, _MAPS)),
-        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_prop_p4, _MAPS)),
-        PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, partial(_prop_petal_formula, _MAPS)),
-        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_prop_trace_tail, _MAPS)),
-        PropertySpec("one-point-extension", "extension_exact_preserving_rejecting", 0.1, partial(_prop_extension, _MAPS)),
-        PropertySpec("cross-model-embedding", "embeddings_agree_across_models", 0.05, _prop_cross_model),
-        PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, partial(_prop_covering, _MAPS)),
-        PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, partial(_prop_approximate, _MAPS)),
+        PropertySpec("metric-axioms", "nabla_is_ultrametric", 1.0, partial(_check_metric_axioms, _MAPS)),
+        PropertySpec("canonical-merge", "canonical_form_unique", 0.1, _check_canonical_maps),
+        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_check_p1_valued, _MAPS)),
+        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_check_p2_trace, _MAPS)),
+        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_check_p3, _MAPS)),
+        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_check_p4, _MAPS)),
+        PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, partial(_check_petal_formula, _MAPS)),
+        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_check_trace_tail, _MAPS)),
+        PropertySpec("one-point-extension", "extension_exact_preserving_rejecting", 0.1, partial(_check_extension, _MAPS)),
+        PropertySpec("cross-model-embedding", "embeddings_agree_across_models", 0.05, _check_cross_model),
+        PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, partial(_check_covering, _MAPS)),
+        PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, partial(_check_approximate, _MAPS)),
     ),
     "cpum": (
-        PropertySpec("metric-axioms", "ud_is_ultrametric", 1.0, partial(_prop_metric_axioms, _CPUM)),
-        PropertySpec("truncation-witness", "petal_distance_formula_witness_optimal", 0.1, partial(_prop_petal_formula, _CPUM)),
-        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_prop_p1_valued, _CPUM)),
-        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_prop_p2_trace, _CPUM)),
-        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_prop_p3, _CPUM)),
-        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_prop_p4, _CPUM)),
-        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_prop_trace_tail, _CPUM)),
-        PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, partial(_prop_covering, _CPUM)),
-        PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, partial(_prop_approximate, _CPUM)),
+        PropertySpec("metric-axioms", "ud_is_ultrametric", 1.0, partial(_check_metric_axioms, _CPUM)),
+        PropertySpec("truncation-witness", "petal_distance_formula_witness_optimal", 0.1, partial(_check_petal_formula, _CPUM)),
+        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_check_p1_valued, _CPUM)),
+        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_check_p2_trace, _CPUM)),
+        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_check_p3, _CPUM)),
+        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_check_p4, _CPUM)),
+        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_check_trace_tail, _CPUM)),
+        PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, partial(_check_covering, _CPUM)),
+        PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, partial(_check_approximate, _CPUM)),
     ),
     "gh": (
-        PropertySpec("metric-axioms", "na_is_ultrametric", 0.1, partial(_prop_metric_axioms, _GH)),
-        PropertySpec("oracle-agreement", "na_matches_ambient_oracle", 0.05, _prop_oracle_gh),
-        PropertySpec("quotient-contraction", "quotient_within_eps", 0.1, _prop_quotient_gh),
-        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_prop_p1_valued, _GH)),
-        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_prop_p2_trace, _GH)),
-        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_prop_p3, _GH)),
-        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_prop_p4, _GH)),
-        PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, partial(_prop_petal_formula, _GH)),
-        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_prop_trace_tail, _GH)),
+        PropertySpec("metric-axioms", "na_is_ultrametric", 0.1, partial(_check_metric_axioms, _GH)),
+        PropertySpec("oracle-agreement", "na_matches_ambient_oracle", 0.05, _check_oracle_gh),
+        PropertySpec("quotient-contraction", "quotient_within_eps", 0.1, _check_quotient_gh),
+        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_check_p1_valued, _GH)),
+        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_check_p2_trace, _GH)),
+        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_check_p3, _GH)),
+        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_check_p4, _GH)),
+        PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, partial(_check_petal_formula, _GH)),
+        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_check_trace_tail, _GH)),
     ),
 }
 
@@ -612,13 +560,18 @@ def run_property(
     cfg: TrialConfig,
     trials: int | None = None,
 ) -> tuple[bool, int, dict | None]:
-    """Run one named suite property; returns (passed, trials, counterexample)."""
+    """Run one named suite property; returns (passed, trials, counterexample with "trial")."""
+    if trials is not None and trials < 0:
+        raise ValueError("trials must be non-negative")
     for pidx, spec in enumerate(SUITES[model]):
         if spec.name == name or spec.tag == name:
             n = trials if trials is not None else max(1, round(cfg.trials * spec.factor))
             rng = spawn_rng(cfg.seed, _MODEL_SALT[model], pidx)
-            failure = spec.run(rng, cfg, n)
-            return failure is None, n, failure
+            for t in range(n):
+                failure = spec.run(rng, t)
+                if failure is not None:
+                    return False, n, {"trial": t, **failure}
+            return True, n, None
     raise KeyError(f"no property {name!r} in model {model!r}")
 
 
@@ -687,8 +640,8 @@ class PartialIsometry:
                     raise InvariantViolation(-1, (i, j))
 
 
-def _extend_both_ways(pairing: PartialIsometry, left: _Sampler, right: _Sampler, rng, cfg) -> None:
-    """``cfg.trials`` rounds, each mirroring a fresh point one way, then the other.
+def _extend_both_ways(pairing: PartialIsometry, left: _Sampler, right: _Sampler, rng, rounds: int) -> None:
+    """``rounds`` rounds, each mirroring a fresh point one way, then the other.
 
     A fresh left point is mirrored to the right through a one-point
     extension at its exact distances, then a fresh right point is
@@ -697,11 +650,11 @@ def _extend_both_ways(pairing: PartialIsometry, left: _Sampler, right: _Sampler,
     """
     left_gen, left_metric, left_extend = left.gen, left.model.metric, left.model.extend
     right_gen, right_metric, right_extend = right.gen, right.model.metric, right.model.extend
-    for k in range(cfg.trials):
-        x = left_gen(rng, cfg)
+    for k in range(rounds):
+        x = left_gen(rng)
         y = right_extend(pairing.right, [left_metric(x, l) for l in pairing.left])
         pairing.append_checked(x, y, step=2 * k)
-        g = right_gen(rng, cfg)
+        g = right_gen(rng)
         f = left_extend(pairing.left, [right_metric(g, r) for r in pairing.right])
         pairing.append_checked(f, g, step=2 * k + 1)
 
@@ -714,24 +667,24 @@ def back_and_forth(cfg: TrialConfig) -> PartialIsometry:
     """
     rng = spawn_rng(cfg.seed, 1)
     pairing = PartialIsometry([], [], F.metric, MAPS.metric)
-    _extend_both_ways(pairing, _F, _MAPS, rng, cfg)
+    _extend_both_ways(pairing, _F, _MAPS, rng, cfg.trials)
     return pairing
 
 
-def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int | None = None) -> PartialIsometry:
+def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int) -> PartialIsometry:
     """Extend a random finite self-isometry of the support-map model.
 
-    Draws a finite set, builds an isometric copy by re-embedding its
-    distance matrix in a reshuffled order, then alternately extends the
-    pairing over fresh random points, verifying exactness at each step.
+    Draws up to ``subset_size`` distinct points, builds an isometric copy by
+    re-embedding their distance matrix in a reshuffled order, then
+    alternately extends the pairing over fresh random points, verifying
+    exactness at each step.
     """
     rng = spawn_rng(cfg.seed, 2)
-    size = subset_size if subset_size is not None else rng.randint(0, min(cfg.max_points, 5))
     points: list[SupportMap] = []
     attempts = 0
-    while len(points) < size and attempts < 200:
+    while len(points) < subset_size and attempts < 200:
         attempts += 1
-        candidate = gen_support_map(rng, cfg)
+        candidate = gen_support_map(rng)
         if candidate not in points:
             points.append(candidate)
     size = len(points)
@@ -750,7 +703,7 @@ def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int | None = None) -> P
             copy[order[a]] = images[f"q{a}"]
     pairing = PartialIsometry(list(points), copy, F.metric, F.metric)
     pairing.verify()
-    _extend_both_ways(pairing, _F, _F, rng, cfg)
+    _extend_both_ways(pairing, _F, _F, rng, cfg.trials)
     return pairing
 
 
@@ -773,17 +726,15 @@ def backforth_report(cfg: TrialConfig) -> str:
 _CORPUS: list[GHPoint] | None = None
 
 
-def enumerate_small_spaces(
-    scales: Sequence = ("1/4", "1/2", "1"), max_points: int = 3
-) -> list[GHPoint]:
-    """Every isometry class with <= max_points points over the given scales.
+def enumerate_small_spaces() -> list[GHPoint]:
+    """Every isometry class with at most 3 points over the scales 1/4, 1/2, 1.
 
-    Tries every symmetric matrix over the positive scales and keeps the
+    Tries every symmetric matrix over those scales and keeps the
     ultrametric ones, one per canonical form.
     """
-    positives = sorted({as_scale(s) for s in scales} - {ZERO})
+    positives = [as_scale(s) for s in ("1/4", "1/2", "1")]
     seen: dict[str, FiniteUltraSpace] = {}
-    for n in range(1, max_points + 1):
+    for n in range(1, 4):
         pairs = list(itertools.combinations(range(n), 2))
         for values in itertools.product(positives, repeat=len(pairs)):
             rows = [[ZERO] * n for _ in range(n)]

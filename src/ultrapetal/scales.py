@@ -25,7 +25,10 @@ def as_scale(value: ScaleLike) -> Fraction:
     if isinstance(value, Fraction):
         x = value
     elif type(value) in (str, int):
-        x = Fraction(value)
+        try:
+            x = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"scale has a zero denominator: {value!r}") from None
     else:
         raise ValueError(f"scale must be a string or an integer, got {value!r}")
     if x < 0:

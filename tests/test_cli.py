@@ -1,8 +1,15 @@
+import io
+import itertools
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrapetal.cli import main
+from ultrapetal.petal import MODELS
 from ultrapetal.scales import as_scale
 from ultrapetal.model_f import SupportMap, delta
 from ultrapetal.model_maps import CantorFunction
@@ -83,8 +90,11 @@ def test_dist_gh_matches_na(tmp_path, space_file, capsys):
     ["dist", "--model", "cpum", {"cells": [0, 1], "dist": [["0", "1"], ["1", "0"]]}, {"cells": [""], "dist": [["0"]]}],
     ["validate", {"dist": []}],
     ["validate", {"points": ["a", "b"], "dist": [["0"], ["1"]]}],
+    ["petal-dist", "--model", "f", {"support": []}, "--range", "[" * 100_000],
+    ["dist", "--model", "maps", {"cells": [["", "0/0"]]}, {"cells": [["", "0"]]}],
 ], ids=["float-distance", "bool-distance", "string-points", "support-entry", "cpum-dist",
-        "null-label", "number-prefixes", "number-cells", "missing-points", "two-by-one"])
+        "null-label", "number-prefixes", "number-cells", "missing-points", "two-by-one",
+        "deep-range", "zero-denominator"])
 def test_malformed_input_exits_one(tmp_path, capsys, argv):
     # an exception escaping main would be a traceback at the command line;
     # only validate's axiom verdicts belong on stdout
@@ -196,7 +206,7 @@ def test_harness_failure_exit_code_and_dump(tmp_path, capsys, monkeypatch):
 
     broken = ph.PropertySpec(
         "metric-axioms", "always_fails", 1.0,
-        lambda rng, cfg, n: {"trial": 0, "reason": "forced"},
+        lambda rng, t: {"reason": "forced"},
     )
     monkeypatch.setitem(ph.SUITES, "f", (broken,))
     code = main([
@@ -241,6 +251,67 @@ def test_emitted_files_reparse_to_equal_values(tmp_path, capsys):
     from ultrapetal.model_cpum import CantorPseudoUltrametric, ud
 
     reparsed = CantorPseudoUltrametric.from_json(json.loads(cpum_witness.read_text()))
-    original = CantorPseudoUltrametric.from_json(json.loads(open(pseudo).read()))
+    original = CantorPseudoUltrametric.from_json(json.loads(Path(pseudo).read_text()))
     assert ud(original, reparsed) == as_scale("1/3")
     assert reparsed.spectrum().to_json() == ["0", "1"]
+
+
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+_ANY = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=16,
+)
+# values shaped like the model and space formats, with some leaves wrong,
+# so that part of the inputs get past the first checks
+_SCALE = st.sampled_from(["0", "1/4", "1/2", "1", "2"])
+_LEAF = st.integers(0, 9).flatmap(lambda k: _SCALAR if k == 0 else _SCALE)
+_PARTITION = st.sampled_from([[""], ["0", "1"], ["0", "10", "11"], ["00", "01", "1"]]) | st.lists(_SCALAR, max_size=3)
+
+
+def _symmetric(n, values):
+    rows = [["0"] * n for _ in range(n)]
+    for (i, j), v in zip(itertools.combinations(range(n), 2), values):
+        rows[i][j] = rows[j][i] = v
+    return rows
+
+
+def _with_matrix(key, labels):
+    n = len(labels)
+    pairs = st.lists(_LEAF, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    return pairs.map(lambda values: {key: labels, "dist": _symmetric(n, values)})
+
+
+_SPACE = st.integers(1, 4).flatmap(lambda n: _with_matrix("points", [f"p{i}" for i in range(n)]))
+_SHAPES = {
+    "f": st.lists(st.tuples(_LEAF, st.integers(0, 3)).map(list), max_size=3).map(lambda pairs: {"support": pairs}),
+    "maps": _PARTITION.flatmap(lambda cells: st.lists(_LEAF, min_size=len(cells), max_size=len(cells)).map(
+        lambda values: {"cells": [list(pair) for pair in zip(cells, values)]})),
+    "cpum": _PARTITION.flatmap(lambda cells: _with_matrix("cells", cells)),
+    "gh": _SPACE,
+}
+# (leading arguments, the value shape of each file argument, trailing arguments)
+_FUZZED = (
+    [(["validate"], [_SPACE], []), (["canon"], [_SPACE], []), (["quotient", "--eps", "1/2"], [_SPACE], []),
+     (["na"], [_SPACE, _SPACE], []), (["embed"], [_SPACE], [])]
+    + [(["dist", "--model", name], [shape, shape], []) for name, shape in _SHAPES.items()]
+    + [(["petal-dist", "--model", name], [shape], ["--range", '["0", "1/2"]']) for name, shape in _SHAPES.items()]
+    + [(["extend", "--model", name], [st.lists(_SHAPES[name], min_size=2, max_size=2)], ["--targets", '["1/2", "1"]'])
+       for name in ("f", "maps")]
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(command=st.sampled_from(_FUZZED), data=st.data())
+def test_fuzzed_files_give_an_exit_code(command, data):
+    # whatever JSON a file holds, main returns 0, 1 or 2 and raises nothing
+    head, shapes, tail = command
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, shape in enumerate(shapes):
+            path = Path(tmp) / f"in{k}.json"
+            path.write_text(json.dumps(data.draw(shape | _ANY)))
+            paths.append(str(path))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(head + paths + tail)
+    assert code in (0, 1, 2)

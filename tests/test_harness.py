@@ -15,8 +15,8 @@ from ultrapetal.petal_harness import (
     InvariantViolation,
     PartialIsometry,
     TrialConfig,
-    _prop_approximate,
-    _prop_covering,
+    _check_approximate,
+    _check_covering,
     back_and_forth,
     backforth_report,
     gen_cantor_function,
@@ -36,36 +36,28 @@ from ultrapetal.umspace import validate
 def test_config_validation():
     with pytest.raises(ValueError):
         TrialConfig(trials=-1)
-    with pytest.raises(ValueError):
-        TrialConfig(max_points=0)
-    from ultrapetal.scales import RangeSet
-
-    with pytest.raises(ValueError):
-        TrialConfig(scale_pool=RangeSet(["0", "1"]))
 
 
 def test_generators_are_deterministic():
-    cfg = TrialConfig(seed=9, trials=1)
     for gen in (gen_support_map, gen_cantor_function, gen_cpum):
-        a = gen(spawn_rng(9, 0), cfg)
-        b = gen(spawn_rng(9, 0), cfg)
+        a = gen(spawn_rng(9, 0))
+        b = gen(spawn_rng(9, 0))
         assert a.to_json() == b.to_json()
-    s1 = gen_space(spawn_rng(9, 0), cfg)
-    s2 = gen_space(spawn_rng(9, 0), cfg)
+    s1 = gen_space(spawn_rng(9, 0))
+    s2 = gen_space(spawn_rng(9, 0))
     assert s1.to_json() == s2.to_json()
-    assert gen_range_set(spawn_rng(9, 1), cfg) == gen_range_set(spawn_rng(9, 1), cfg)
+    assert gen_range_set(spawn_rng(9, 1)) == gen_range_set(spawn_rng(9, 1))
 
 
 def test_generated_elements_satisfy_model_invariants():
-    cfg = TrialConfig(seed=11, trials=1)
     rng = spawn_rng(11)
     for _ in range(50):
-        space = gen_space(rng, cfg)
+        space = gen_space(rng)
         validate(space.labels, space.dist)  # construction invariant
-        fun = gen_cantor_function(rng, cfg)
+        fun = gen_cantor_function(rng)
         assert ZERO in dict(fun.cells).values()
-        gen_support_map(rng, cfg)
-        gen_cpum(rng, cfg)
+        gen_support_map(rng)
+        gen_cpum(rng)
 
 
 def test_back_and_forth_trials_zero_gives_empty_pairing():
@@ -110,6 +102,8 @@ def test_run_property_and_suite_consistency():
     assert ok and n == 5
     with pytest.raises(KeyError):
         run_property("f", "no-such-property", cfg)
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        run_property("f", "metric-axioms", cfg, trials=-3)
     with pytest.raises(KeyError):
         run_axiom_suite("nope", cfg)
 
@@ -140,7 +134,7 @@ def test_suite_dumps_counterexample_on_failure(tmp_path, monkeypatch):
 
     broken = ph.PropertySpec(
         "metric-axioms", "always_fails", 1.0,
-        lambda rng, cfg, n: {"trial": 0, "reason": "forced"},
+        lambda rng, t: {"reason": "forced"},
     )
     monkeypatch.setitem(ph.SUITES, "f", (broken,))
     report = ph.run_axiom_suite("f", TrialConfig(seed=1, trials=5), dump_dir=str(tmp_path))
@@ -163,10 +157,17 @@ def test_models_registry_complete():
     assert set(SUITES) == {"f", "maps", "cpum", "gh"}
 
 
+def _first_failure(check, sampler, rng, n):
+    for t in range(n):
+        failure = check(sampler, rng, t)
+        if failure is not None:
+            return failure
+    return None
+
+
 def test_gh_approximation_and_covering():
-    cfg = TrialConfig(seed=13, trials=40)
-    for prop in (_prop_approximate, _prop_covering):
-        assert prop(_GH, spawn_rng(13, 0), cfg, 40) is None
+    for check in (_check_approximate, _check_covering):
+        assert _first_failure(check, _GH, spawn_rng(13, 0), 40) is None
 
 
 class _KeepWhole(Model):
@@ -177,11 +178,10 @@ class _KeepWhole(Model):
 
 
 def test_approximation_check_refuses_trace_values_below_r():
-    cfg = TrialConfig(seed=0, trials=200)
     for sampler in (_F, _MAPS, _CPUM, _GH):
-        assert _prop_approximate(sampler, spawn_rng(0, 0), cfg, 200) is None
+        assert _first_failure(_check_approximate, sampler, spawn_rng(0, 0), 200) is None
         mutant = dataclasses.replace(sampler, model=_KeepWhole(**vars(sampler.model)))
-        assert _prop_approximate(mutant, spawn_rng(0, 0), cfg, 200) is not None
+        assert _first_failure(_check_approximate, mutant, spawn_rng(0, 0), 200) is not None
 
 
 def _sha256(obj) -> str:
@@ -207,3 +207,37 @@ def test_pinned_pairings_and_suite_table():
         for spec in specs
     }
     assert _sha256(table) == "9547484525acc0459b6e1ecccea7dd346df0fc2289eca83087922ff091a9d763"
+
+
+def _halved_above_one(metric):
+    def halved(x, y):
+        d = metric(x, y)
+        return d / 2 if d > 1 else d
+
+    return halved
+
+
+def test_pinned_failure_path():
+    # against a broken model (distances above 1 halved, truncation the
+    # identity) the suites fail; the digest pins every counterexample,
+    # and every exception a property raises, by type and message
+    saved = [(m, m.metric, m.truncate) for m in MODELS.values()]
+    try:
+        for m, metric, _ in saved:
+            object.__setattr__(m, "metric", _halved_above_one(metric))
+            object.__setattr__(m, "truncate", lambda x, u: x)
+        cfg = TrialConfig(seed=3, trials=60)
+        table = {}
+        for model, specs in SUITES.items():
+            for spec in specs:
+                try:
+                    table[f"{model}/{spec.tag}"] = list(run_property(model, spec.name, cfg))
+                except Exception as err:
+                    table[f"{model}/{spec.tag}"] = {"raised": type(err).__name__, "message": str(err)}
+    finally:
+        for m, metric, truncate in saved:
+            object.__setattr__(m, "metric", metric)
+            object.__setattr__(m, "truncate", truncate)
+    failed = [key for key, result in table.items() if not (isinstance(result, list) and result[0])]
+    assert len(table) == 42 and len(failed) == 15
+    assert _sha256(table) == "3501bd9c84dee66c36a6d0c8d4341f9bc9e0ae63cb40f1d27c3121116fa020fc"

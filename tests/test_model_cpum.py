@@ -9,7 +9,7 @@ from ultrapetal.model_cpum import (
     ud,
 )
 from ultrapetal.petal import CPUM
-from ultrapetal.petal_harness import TrialConfig, gen_cpum, gen_range_set, spawn_rng
+from ultrapetal.petal_harness import gen_cpum, gen_range_set, spawn_rng
 from ultrapetal.scales import RangeSet, ZERO
 from ultrapetal.umspace import NotSymmetric, NotUltrametric, check_matrix
 
@@ -69,10 +69,9 @@ def test_ud_examples():
 
 def test_ud_across_partitions_and_brute_force():
     rng = spawn_rng(61)
-    cfg = TrialConfig(seed=1, trials=1)
     for _ in range(200):
-        d = gen_cpum(rng, cfg)
-        e = gen_cpum(rng, cfg)
+        d = gen_cpum(rng)
+        e = gen_cpum(rng)
         assert ud(d, e) == brute_ud(d, e)
         assert ud(d, e) == ud(e, d)
 
@@ -105,10 +104,9 @@ def test_petal_distance_truncation_witness():
 
 def test_witness_is_valid_pseudo_ultrametric():
     rng = spawn_rng(62)
-    cfg = TrialConfig(seed=1, trials=1)
     for _ in range(150):
-        d = gen_cpum(rng, cfg)
-        s = gen_range_set(rng, cfg)
+        d = gen_cpum(rng)
+        s = gen_range_set(rng)
         _, witness = CPUM.petal_distance(d, s)
         check_matrix(witness.dist, witness.cells, allow_zero=True)
         assert CPUM.in_petal(witness, s)

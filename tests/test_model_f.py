@@ -11,7 +11,7 @@ from ultrapetal.model_f import (
     trace,
 )
 from ultrapetal.petal import F
-from ultrapetal.petal_harness import TrialConfig, gen_space, gen_support_map, spawn_rng
+from ultrapetal.petal_harness import POOL, gen_space, gen_support_map, spawn_rng
 from ultrapetal.scales import RangeSet, ZERO
 from ultrapetal.umspace import FiniteUltraSpace
 
@@ -50,10 +50,9 @@ def test_delta_examples():
 
 def test_delta_agrees_with_brute_force():
     rng = spawn_rng(41)
-    cfg = TrialConfig(seed=1, trials=1)
     for _ in range(300):
-        f = gen_support_map(rng, cfg)
-        g = gen_support_map(rng, cfg)
+        f = gen_support_map(rng)
+        g = gen_support_map(rng)
         assert delta(f, g) == brute_delta(f, g)
 
 
@@ -89,10 +88,9 @@ def test_petal_distance_examples():
 
 def test_petal_distance_matches_scan():
     rng = spawn_rng(42)
-    cfg = TrialConfig(seed=1, trials=1)
-    pool = cfg.scale_pool.positives()
+    pool = POOL.positives()
     for _ in range(300):
-        f = gen_support_map(rng, cfg)
+        f = gen_support_map(rng)
         s = RangeSet(v for v in pool if rng.random() < 0.5)
         value, witness = F.petal_distance(f, s)
         assert value == scan_petal_distance(trace(f), s)
@@ -172,9 +170,8 @@ def test_embed_space_examples():
 
 def test_embed_space_random_matrices():
     rng = spawn_rng(43)
-    cfg = TrialConfig(seed=1, trials=1)
     for _ in range(60):
-        space = gen_space(rng, cfg, max_points=10)
+        space = gen_space(rng, max_points=10)
         images = embed_space(space)
         for a in space.labels:
             for b in space.labels:

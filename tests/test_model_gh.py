@@ -11,7 +11,7 @@ from ultrapetal.model_gh import (
 )
 from ultrapetal.petal import GH
 from ultrapetal.petal_harness import (
-    TrialConfig,
+    POOL,
     enumerate_small_spaces,
     gen_space,
     small_corpus,
@@ -63,7 +63,7 @@ def test_small_corpus_is_exhaustive():
     assert len(corpus) == 10  # 1 singleton, 3 two-point, 6 three-point classes
     forms = {p.canonical_form() for p in corpus}
     assert len(forms) == len(corpus)
-    again = enumerate_small_spaces(("1/4", "1/2", "1"), max_points=3)
+    again = enumerate_small_spaces()
     assert {p.canonical_form() for p in again} == forms
 
 
@@ -114,7 +114,6 @@ def reference_infimum(x, y):
 
 def test_oracle_matches_no_pruning_reference():
     rng = spawn_rng(74)
-    cfg = TrialConfig(seed=1, trials=1)
     small = [p for p in small_corpus() if len(p.space) <= 2]
     for x in small:
         for y in small:
@@ -122,19 +121,18 @@ def test_oracle_matches_no_pruning_reference():
             assert na_oracle(x, y) == want
             assert na_distance(x, y) == want
     for _ in range(20):
-        x = GHPoint(gen_space(rng, cfg, max_points=2))
-        y = GHPoint(gen_space(rng, cfg, max_points=2))
+        x = GHPoint(gen_space(rng, max_points=2))
+        y = GHPoint(gen_space(rng, max_points=2))
         assert na_oracle(x, y) == reference_infimum(x, y)
 
 
 def test_oracle_grid_extension_never_improves():
     # adding finer grid values must not find a better ambient
     rng = spawn_rng(71)
-    cfg = TrialConfig(seed=1, trials=1)
     extras = ["1/8", "5/12", "7/12", "5/6", "3/2", "3"]
     for _ in range(25):
-        x = GHPoint(gen_space(rng, cfg, max_points=3))
-        y = GHPoint(gen_space(rng, cfg, max_points=3))
+        x = GHPoint(gen_space(rng, max_points=3))
+        y = GHPoint(gen_space(rng, max_points=3))
         assert na_oracle(x, y) == na_oracle(x, y, extra_scales=extras)
 
 
@@ -159,19 +157,17 @@ def test_trace_and_petal_examples():
 
 def test_na_distance_is_zero_iff_isometric():
     rng = spawn_rng(72)
-    cfg = TrialConfig(seed=1, trials=1)
     for _ in range(100):
-        x = GHPoint(gen_space(rng, cfg))
-        y = GHPoint(gen_space(rng, cfg))
+        x = GHPoint(gen_space(rng))
+        y = GHPoint(gen_space(rng))
         assert (na_distance(x, y) == ZERO) == (x == y)
 
 
 def test_quotient_contraction():
     rng = spawn_rng(73)
-    cfg = TrialConfig(seed=1, trials=1)
     for _ in range(100):
-        x = GHPoint(gen_space(rng, cfg))
-        pool = sorted(set(cfg.scale_pool.elems) | set(x.spectrum().elems))
+        x = GHPoint(gen_space(rng))
+        pool = sorted(set(POOL.elems) | set(x.spectrum().elems))
         eps = pool[rng.randrange(len(pool))]
         q = GHPoint(x.space.quotient(eps))
         value = na_distance(x, q)
@@ -191,14 +187,13 @@ def _scan_na(x, y):
 
 def test_binary_search_matches_linear_scan():
     rng = spawn_rng(75)
-    cfg = TrialConfig(seed=1, trials=1)
     for _ in range(1000):
-        x = GHPoint(gen_space(rng, cfg))
+        x = GHPoint(gen_space(rng))
         spec = x.spectrum().elems
         if rng.random() < 0.4:
             y = GHPoint(x.space.quotient(spec[rng.randrange(len(spec))]))
         else:
-            y = GHPoint(gen_space(rng, cfg))
+            y = GHPoint(gen_space(rng))
         assert na_distance(x, y) == _scan_na(x, y)
         for eps in spec:
             assert x.quotient_canon(eps) == x.space.quotient(eps).canonical_form()

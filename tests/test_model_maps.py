@@ -12,7 +12,7 @@ from ultrapetal.model_maps import (
     zero_function,
 )
 from ultrapetal.petal import MAPS
-from ultrapetal.petal_harness import TrialConfig, gen_cantor_function, spawn_rng
+from ultrapetal.petal_harness import gen_cantor_function, spawn_rng
 from ultrapetal.scales import RangeSet, ZERO
 
 
@@ -158,9 +158,8 @@ def test_one_point_extension_petal_preservation():
 
 def test_canonicalization_round_trip():
     rng = spawn_rng(51)
-    cfg = TrialConfig(seed=1, trials=1)
     for _ in range(120):
-        f = gen_cantor_function(rng, cfg)
+        f = gen_cantor_function(rng)
         refined = dict(f.cells)
         for _ in range(rng.randint(1, 4)):
             keys = sorted(refined)
@@ -175,10 +174,9 @@ def test_canonicalization_round_trip():
 
 def test_nabla_against_brute_force():
     rng = spawn_rng(52)
-    cfg = TrialConfig(seed=1, trials=1)
     for _ in range(200):
-        f = gen_cantor_function(rng, cfg)
-        g = gen_cantor_function(rng, cfg)
+        f = gen_cantor_function(rng)
+        g = gen_cantor_function(rng)
         assert nabla(f, g) == brute_nabla(f, g)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ultrapetal.model_gh import GHPoint, na_distance
-from ultrapetal.petal_harness import TrialConfig, gen_space, random_ultrametric_rows, spawn_rng
+from ultrapetal.petal_harness import POOL, gen_space, random_ultrametric_rows, spawn_rng
 from ultrapetal.scales import RangeSet, ZERO
 from ultrapetal.umspace import (
     EmptySubset,
@@ -84,10 +84,9 @@ def test_canonical_form_examples():
 
 
 def test_canonical_form_invariant_under_permutation():
-    cfg = TrialConfig(seed=5, trials=1, max_points=7)
     rng = spawn_rng(31)
     for _ in range(60):
-        space = gen_space(rng, cfg)
+        space = gen_space(rng, max_points=7)
         order = list(range(len(space)))
         rng.shuffle(order)
         shuffled = FiniteUltraSpace(
@@ -99,19 +98,17 @@ def test_canonical_form_invariant_under_permutation():
 
 def test_canonical_form_separates_different_spectra():
     rng = spawn_rng(32)
-    cfg = TrialConfig(seed=5, trials=1, max_points=6)
     for _ in range(60):
-        a = gen_space(rng, cfg)
-        b = gen_space(rng, cfg)
+        a = gen_space(rng, max_points=6)
+        b = gen_space(rng, max_points=6)
         if a.spectrum() != b.spectrum():
             assert a.canonical_form() != b.canonical_form()
 
 
 def test_dendrogram_reconstructs_space():
     rng = spawn_rng(33)
-    cfg = TrialConfig(seed=5, trials=1, max_points=7)
     for _ in range(40):
-        space = gen_space(rng, cfg)
+        space = gen_space(rng, max_points=7)
         rebuilt = space.dendrogram().to_space()
         assert rebuilt.labels == tuple(sorted(space.labels))
         for a in space.labels:
@@ -129,25 +126,22 @@ def test_dendrogram_scales_decrease():
             check(child, node.scale)
 
     rng = spawn_rng(34)
-    cfg = TrialConfig(seed=5, trials=1, max_points=8)
     for _ in range(40):
-        check(gen_space(rng, cfg).dendrogram(), None)
+        check(gen_space(rng, max_points=8).dendrogram(), None)
 
 
 def test_generated_spaces_validate():
     rng = spawn_rng(35)
-    cfg = TrialConfig(seed=5, trials=1, max_points=8)
     for _ in range(60):
-        space = gen_space(rng, cfg)
+        space = gen_space(rng, max_points=8)
         validate(space.labels, space.dist)
 
 
 def test_quotient_composition_and_spectrum_law():
     rng = spawn_rng(36)
-    cfg = TrialConfig(seed=5, trials=1, max_points=7)
-    pool = sorted(cfg.scale_pool.elems)
+    pool = sorted(POOL.elems)
     for _ in range(60):
-        space = gen_space(rng, cfg)
+        space = gen_space(rng, max_points=7)
         e1 = pool[rng.randrange(len(pool))]
         e2 = pool[rng.randrange(len(pool))]
         lo, hi = min(e1, e2), max(e1, e2)
@@ -181,9 +175,8 @@ def test_hausdorff_examples():
 
 def test_hausdorff_brute_force_agreement():
     rng = spawn_rng(37)
-    cfg = TrialConfig(seed=5, trials=1, max_points=7)
     for _ in range(60):
-        space = gen_space(rng, cfg)
+        space = gen_space(rng, max_points=7)
         labels = list(space.labels)
         a = [l for l in labels if rng.random() < 0.5] or [labels[0]]
         b = [l for l in labels if rng.random() < 0.5] or [labels[-1]]
@@ -194,9 +187,8 @@ def test_hausdorff_brute_force_agreement():
 
 def test_hausdorff_strong_triangle_over_subsets():
     rng = spawn_rng(38)
-    cfg = TrialConfig(seed=5, trials=1, max_points=7)
     for _ in range(60):
-        space = gen_space(rng, cfg)
+        space = gen_space(rng, max_points=7)
         labels = list(space.labels)
         subsets = []
         for _ in range(3):
