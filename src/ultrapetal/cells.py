@@ -29,8 +29,10 @@ def check_prefixes(prefixes: Iterable[str]) -> tuple[str, ...]:
     for a, b in zip(keys, keys[1:]):
         if b.startswith(a):
             raise ValueError(f"cell {a!r} is a prefix of cell {b!r}")
-    total = sum(Fraction(1, 2 ** len(k)) for k in keys)
-    if total != 1:
+    # cell k has measure 2**-len(k); scaled by 2**depth the sum is an integer
+    depth = max(len(k) for k in keys)
+    if sum(1 << (depth - len(k)) for k in keys) != 1 << depth:
+        total = sum(Fraction(1, 2 ** len(k)) for k in keys)
         raise ValueError(f"cells cover measure {total}, not the whole space")
     return tuple(keys)
 

@@ -7,31 +7,110 @@ of scales (always containing 0) index the petals of each model space.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 ScaleLike = Union[Fraction, int, str]
 
-ZERO = Fraction(0)
+
+class Scale(Fraction):
+    """A ``Fraction`` whose comparisons with another ``Scale`` are integer ones.
+
+    ``Fraction`` compares through the ``numbers`` ABCs on every call.  Both
+    sides here are normalised (lowest terms, positive denominator), so
+    equality is equality of the two integer pairs and order is decided by
+    one cross-multiplication.  Against anything else (a plain ``Fraction``,
+    an int) the comparison is ``Fraction``'s own, so mixed comparisons,
+    ``str``, ``hash`` and arithmetic are unchanged; arithmetic returns a
+    plain ``Fraction``, which ``as_scale`` turns back into a ``Scale``.
+    """
+
+    __slots__ = ()
+
+    # defining __eq__ clears the inherited hash; Fraction's agrees with int's
+    __hash__ = Fraction.__hash__
+
+    def __eq__(self, other):
+        if type(other) is Scale:
+            return self._numerator == other._numerator and self._denominator == other._denominator
+        return Fraction.__eq__(self, other)
+
+    def __lt__(self, other):
+        if type(other) is Scale:
+            return self._numerator * other._denominator < other._numerator * self._denominator
+        return Fraction.__lt__(self, other)
+
+    def __le__(self, other):
+        if type(other) is Scale:
+            return self._numerator * other._denominator <= other._numerator * self._denominator
+        return Fraction.__le__(self, other)
+
+    def __gt__(self, other):
+        if type(other) is Scale:
+            return self._numerator * other._denominator > other._numerator * self._denominator
+        return Fraction.__gt__(self, other)
+
+    def __ge__(self, other):
+        if type(other) is Scale:
+            return self._numerator * other._denominator >= other._numerator * self._denominator
+        return Fraction.__ge__(self, other)
 
 
-def as_scale(value: ScaleLike) -> Fraction:
-    """Coerce ``value`` to an exact non-negative rational.
+def _scale(numerator: int, denominator: int) -> Scale:
+    """The ``Scale`` of a numerator and a positive denominator in lowest terms."""
+    x = object.__new__(Scale)
+    x._numerator = numerator
+    x._denominator = denominator
+    return x
+
+
+ZERO = _scale(0, 1)
+
+# the whole input grammar of a scale string: p, p/q or p.q in ASCII digits
+_SCALE_TEXT = re.compile(r"([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
+def _parse_scale(text: str) -> Scale:
+    m = _SCALE_TEXT.fullmatch(text)
+    if m is None:
+        raise ValueError(f"scale must be p, p/q or p.q in ASCII digits, got {text!r}")
+    whole, denominator, decimals = m.groups()
+    if decimals is not None:
+        d = 10 ** len(decimals)
+        n = int(whole) * d + int(decimals)
+    else:
+        n = int(whole)
+        d = 1 if denominator is None else int(denominator)
+        if d == 0:
+            raise ValueError(f"scale has a zero denominator: {text!r}")
+    g = gcd(n, d)
+    return _scale(n // g, d // g)
+
+
+def as_scale(value: ScaleLike) -> Scale:
+    """Coerce ``value`` to an exact non-negative rational ``Scale``.
 
     Only a Fraction, an int or a string is accepted; a float or a bool
     (say, from a JSON number) would be read as a rational it was never
-    meant to be.  The exact type test refuses bool, an int subclass.
+    meant to be.  The exact type tests refuse bool, an int subclass.  A
+    string must be ``p``, ``p/q`` or ``p.q`` in ASCII digits: no sign,
+    exponent, underscore or surrounding whitespace, so a short string
+    never stands for a huge number.
     """
-    if isinstance(value, Fraction):
+    kind = type(value)
+    if kind is Scale:
         x = value
-    elif type(value) in (str, int):
-        try:
-            x = Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"scale has a zero denominator: {value!r}") from None
+    elif kind is str:
+        x = _parse_scale(value)
+    elif kind is int:
+        x = _scale(value, 1)
+    elif isinstance(value, Fraction):
+        x = _scale(value._numerator, value._denominator)
     else:
         raise ValueError(f"scale must be a string or an integer, got {value!r}")
-    if x < 0:
+    if x._numerator < 0:
         raise ValueError(f"scale must be non-negative, got {x}")
     return x
 

@@ -92,13 +92,21 @@ def test_dist_gh_matches_na(tmp_path, space_file, capsys):
     ["validate", {"points": ["a", "b"], "dist": [["0"], ["1"]]}],
     ["petal-dist", "--model", "f", {"support": []}, "--range", "[" * 100_000],
     ["dist", "--model", "maps", {"cells": [["", "0/0"]]}, {"cells": [["", "0"]]}],
+    ["dist", "--model", "f", {"support": [["1e999999999", 1]]}, {"support": []}],
+    ["validate", {"points": ["a", "b"], "dist": [["0", "1_0"], ["1_0", "0"]]}],
+    ["dist", "--model", "maps", {"cells": [["0", "\uff11"], ["1", "0"]]}, {"cells": [["", "0"]]}],
+    ["petal-dist", "--model", "f", {"support": []}, "--range", '["0", "1e3"]'],
+    ["extend", "--model", "f", [{"support": []}], "--targets", '["+1"]'],
+    ["quotient", SPACE, "--eps", " 1/2"],
 ], ids=["float-distance", "bool-distance", "string-points", "support-entry", "cpum-dist",
         "null-label", "number-prefixes", "number-cells", "missing-points", "two-by-one",
-        "deep-range", "zero-denominator"])
+        "deep-range", "zero-denominator", "exponent-scale", "underscore-scale",
+        "fullwidth-scale", "exponent-range", "signed-targets", "space-eps"])
 def test_malformed_input_exits_one(tmp_path, capsys, argv):
     # an exception escaping main would be a traceback at the command line;
     # only validate's axiom verdicts belong on stdout
-    args = [write(tmp_path, f"in{k}.json", a) if isinstance(a, dict) else a for k, a in enumerate(argv)]
+    args = [write(tmp_path, f"in{k}.json", a) if isinstance(a, (dict, list)) else a
+            for k, a in enumerate(argv)]
     assert main(args) == 1
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,10 +1,16 @@
+import json
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ultrapetal import petal_harness
+from ultrapetal.petal import MODELS
 from ultrapetal.scales import (
     RangeSet,
+    Scale,
     ZERO,
     as_scale,
     max_outside,
@@ -106,3 +112,111 @@ def test_range_set_json_round_trip():
     assert RangeSet.from_json(a.to_json()) == a
     with pytest.raises(ValueError):
         RangeSet.from_json({"not": "a list"})
+
+
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+signed = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+
+
+@given(signed, signed, st.integers(min_value=-20, max_value=20))
+def test_scale_agrees_with_fraction(a, b, k):
+    # Fraction is the reference: same answers on Scale pairs and on mixed
+    # Scale/Fraction/int pairs from both sides
+    x, y = Scale(a), Scale(b)
+    assert type(x) is Scale and type(y) is Scale
+    for op in COMPARISONS:
+        want = op(a, b)
+        assert op(x, y) is want
+        assert op(x, b) is want
+        assert op(a, y) is want
+        assert op(x, k) is op(a, k)
+        assert op(k, x) is op(k, a)
+    assert hash(x) == hash(a)
+    assert str(x) == str(a)
+    assert bool(x) is bool(a)
+    assert sorted([y, x]) == sorted([b, a])
+    assert {x: 1}.get(a) == 1 and {a: 1}.get(x) == 1
+
+
+def test_as_scale_returns_scale_for_every_input():
+    for value in ("3/6", "0.5", 7, 0, Fraction(2, 4), Scale(1, 3)):
+        assert type(as_scale(value)) is Scale
+    x = as_scale("1/3")
+    assert as_scale(x) is x
+    assert as_scale(Fraction(2, 4)) == as_scale("0.5") == Scale(1, 2)
+    assert type(ZERO) is Scale
+    assert all(type(v) is Scale for v in petal_harness.POOL)
+
+
+digits = st.text(alphabet="0123456789", min_size=1, max_size=12)
+
+
+@given(digits, digits, st.sampled_from(["", "/", "."]))
+def test_scale_grammar_matches_fraction(p, q, sep):
+    # on the accepted grammar the value is what Fraction's parser reads
+    text = p + sep + q if sep else p
+    if sep == "/" and int(q) == 0:
+        with pytest.raises(ValueError):
+            as_scale(text)
+        return
+    x = as_scale(text)
+    assert type(x) is Scale
+    assert x == Fraction(text)
+    assert (x.numerator, x.denominator) == (Fraction(text).numerator, Fraction(text).denominator)
+    # what is written back parses to the same value and writes the same bytes
+    written = scale_str(x)
+    assert as_scale(written) == x and scale_str(as_scale(written)) == written
+
+
+@pytest.mark.parametrize("text", [
+    "1e3", "1E3", "2.5e-1", "1e999999999",  # exponents
+    "1_000", "1/1_0",  # underscores
+    "\uff11", "\u0661/2",  # non-ASCII digits
+    " 2", "2 ", "\t1/2", "1\n",  # surrounding whitespace
+    "+1", "-0", "-1/2",  # signs
+    ".5", "1.", "1/2/3", "1.5/2", "", "nan", "inf",
+])
+def test_scale_grammar_refusals(text):
+    with pytest.raises(ValueError):
+        as_scale(text)
+
+
+def held_scales(obj, seen=None):
+    """Every Fraction reachable from ``obj`` through slots, dicts and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Fraction):
+        return [obj]
+    if isinstance(obj, (str, int, type(None))):
+        return []
+    if isinstance(obj, dict):
+        parts = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        parts = list(obj)
+    else:
+        names = [n for cls in type(obj).__mro__ for n in getattr(cls, "__slots__", ())]
+        parts = [getattr(obj, n) for n in names if hasattr(obj, n)]
+        parts += list(getattr(obj, "__dict__", {}).values())
+    return [v for part in parts for v in held_scales(part, seen)]
+
+
+SAMPLERS = {"f": petal_harness._F, "maps": petal_harness._MAPS,
+            "cpum": petal_harness._CPUM, "gh": petal_harness._GH}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_generated_and_parsed_elements_hold_scales(name):
+    # a plain Fraction anywhere would still give right answers, only slowly
+    sampler = SAMPLERS[name]
+    model = MODELS[name]
+    rng = random.Random(5)
+    for _ in range(40):
+        x = sampler.gen(rng)
+        # what the command line reads: the element's file text, parsed afresh
+        parsed = model.from_json(json.loads(json.dumps(x.to_json())))
+        for element in (x, parsed, sampler.twin(rng, x)):
+            values = held_scales(element) + held_scales(model.trace(element))
+            assert values, element
+            assert all(type(v) is Scale for v in values), (element, values)
