@@ -70,6 +70,38 @@ def refinement(keysets: Iterable[Sequence[str]]) -> list[str]:
     return out
 
 
+def align(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
+    """Owner indices of the common refinement of two partitions, in one merge.
+
+    Both sequences must be sorted, complete and prefix-free.  The result
+    equals ``(cell_owners(r, a), cell_owners(r, b))`` with
+    ``r = refinement((a, b))``, in O(len(a) + len(b)) steps.  The two
+    current cells share their left endpoint, so one is a prefix of the
+    other: the longer one is the refined cell and advances, and the
+    shorter one advances once the next key no longer extends it.
+    """
+    oa: list[int] = []
+    ob: list[int] = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na:
+        ka, kb = a[i], b[j]
+        oa.append(i)
+        ob.append(j)
+        if ka == kb:
+            i += 1
+            j += 1
+        elif ka < kb:  # a proper prefix sorts first
+            j += 1
+            if j == nb or not b[j].startswith(ka):
+                i += 1
+        else:
+            i += 1
+            if i == na or not a[i].startswith(kb):
+                j += 1
+    return oa, ob
+
+
 def cell_owners(refined: Sequence[str], prefixes: Sequence[str]) -> list[int]:
     """Index into ``prefixes`` of the cell containing each refined cell.
 

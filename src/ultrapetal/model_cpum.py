@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cells import cell_owners, check_prefixes, refinement
+from .cells import align, check_prefixes
 from .scales import RangeSet, ScaleLike, ZERO, scale_str
 from .umspace import check_matrix
 
@@ -72,11 +72,9 @@ def ud(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> Fraction:
     value; this equals the least bound epsilon with d <= e v epsilon and
     e <= d v epsilon on all pairs.
     """
-    refined = refinement((d.cells, e.cells))
-    od = cell_owners(refined, d.cells)
-    oe = cell_owners(refined, e.cells)
+    od, oe = align(d.cells, e.cells)
     worst = ZERO
-    n = len(refined)
+    n = len(od)
     for i in range(n):
         di = d.dist[od[i]]
         ei = e.dist[oe[i]]

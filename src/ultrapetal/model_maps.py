@@ -8,10 +8,11 @@ pointwise disagreement.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cells import cell_owners, check_prefixes, merge_equal_siblings, refinement
+from .cells import align, check_prefixes, merge_equal_siblings
 from .extension import Inconsistent, extend
 from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
 
@@ -24,7 +25,7 @@ class CantorFunction:
     equality agree with pointwise equality.  Immutable.
     """
 
-    __slots__ = ("cells",)
+    __slots__ = ("keys", "values")
 
     def __init__(self, cells: Mapping[str, ScaleLike] | Iterable[tuple[str, ScaleLike]]):
         items = cells.items() if isinstance(cells, Mapping) else list(cells)
@@ -40,16 +41,22 @@ class CantorFunction:
         if ZERO not in table.values():
             raise ValueError("the image must contain 0")
         merged = merge_equal_siblings(table)
-        self.cells: tuple[tuple[str, Fraction], ...] = tuple(sorted(merged.items()))
+        self.keys: tuple[str, ...] = tuple(sorted(merged))
+        self.values: tuple[Fraction, ...] = tuple(merged[k] for k in self.keys)
+
+    @property
+    def cells(self) -> tuple[tuple[str, Fraction], ...]:
+        """The (prefix, value) pairs in prefix order, as written to JSON."""
+        return tuple(zip(self.keys, self.values))
 
     def prefixes(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.cells)
+        return self.keys
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CantorFunction) and self.cells == other.cells
+        return isinstance(other, CantorFunction) and self.keys == other.keys and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash(self.cells)
+        return hash((self.keys, self.values))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v}" for k, v in self.cells)
@@ -80,18 +87,16 @@ def nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
     f <= g v epsilon and g <= f v epsilon everywhere: at a disagreement
     point the larger value forces epsilon at least that high.
     """
-    if f.cells == g.cells:
-        return ZERO
-    pf = f.prefixes()
-    pg = g.prefixes()
-    refined = refinement((pf, pg))
-    of = cell_owners(refined, pf)
-    og = cell_owners(refined, pg)
+    fv, gv = f.values, g.values
+    if f.keys == g.keys:
+        pairs = zip(fv, gv)
+    else:
+        of, og = align(f.keys, g.keys)
+        pairs = zip(map(fv.__getitem__, of), map(gv.__getitem__, og))
     worst = ZERO
-    for pos in range(len(refined)):
-        a = f.cells[of[pos]][1]
-        b = g.cells[og[pos]][1]
-        if a != b:
+    for a, b in pairs:
+        # values are mostly shared objects; skip the comparison call for those
+        if a is not b and a != b:
             hi = a if a > b else b
             if hi > worst:
                 worst = hi
@@ -100,7 +105,7 @@ def nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
 
 def trace(f: CantorFunction) -> RangeSet:
     """{0} together with every value the function takes."""
-    return RangeSet(v for _, v in f.cells)
+    return RangeSet(f.values)
 
 
 def truncate(f: CantorFunction, u: Fraction) -> CantorFunction:
@@ -113,15 +118,19 @@ def truncate(f: CantorFunction, u: Fraction) -> CantorFunction:
 
 
 def _place(anchors: Sequence[CantorFunction], want: list[Fraction], m: Fraction, i: int) -> CantorFunction:
+    # the first refined cell where anchor i vanishes lies in its first zero
+    # cell z and holds the point z000...: it is the longest anchor cell z+"0"*k
     base = anchors[i]
-    refined = refinement(tuple(a.prefixes() for a in anchors))
-    owners = cell_owners(refined, base.prefixes())
-    split, zero_cell = next(
-        (cell, base.cells[owner][0])
-        for cell, owner in zip(refined, owners)
-        if base.cells[owner][1] == ZERO
-    )
-    table = {k: v for k, v in base.cells if k != zero_cell}
+    zero_cell = base.keys[base.values.index(ZERO)]
+    split = zero_cell
+    for anchor in anchors:
+        keys = anchor.keys
+        # the first key >= z extends z exactly when the anchor cuts z finer
+        pos = bisect_left(keys, zero_cell)
+        if pos < len(keys) and len(keys[pos]) > len(split) and keys[pos].startswith(zero_cell):
+            split = keys[pos]
+    table = dict(zip(base.keys, base.values))
+    del table[zero_cell]
     walk = zero_cell
     for step in split[len(zero_cell):]:
         table[walk + ("1" if step == "0" else "0")] = ZERO

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultrapetal import petal_harness
 from ultrapetal.cli import main
+from ultrapetal.model_cpum import ud
 from ultrapetal.petal import MODELS
 from ultrapetal.scales import as_scale
 from ultrapetal.model_f import SupportMap, delta
@@ -264,6 +266,39 @@ def test_emitted_files_reparse_to_equal_values(tmp_path, capsys):
     assert reparsed.spectrum().to_json() == ["0", "1"]
 
 
+SAMPLERS = {"f": petal_harness._F, "maps": petal_harness._MAPS,
+            "cpum": petal_harness._CPUM, "gh": petal_harness._GH}
+
+
+def same_element(name, x, y) -> bool:
+    if name == "cpum":
+        return ud(x, y) == 0
+    if name == "gh":
+        return x.canonical_form() == y.canonical_form()
+    return x == y
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_element_files_round_trip(name):
+    # an element's file text reads back to an equal element whose file
+    # text is the same bytes
+    sampler, model = SAMPLERS[name], MODELS[name]
+    rng = petal_harness.spawn_rng(71)
+    elements = []
+    for _ in range(60):
+        x = sampler.gen(rng)
+        elements += [x, sampler.twin(rng, x)]
+    if name in ("f", "maps"):
+        # the back-and-forth run grows elements by one-point extension
+        pairing = petal_harness.back_and_forth(petal_harness.TrialConfig(seed=5, trials=30))
+        elements += pairing.left if name == "f" else pairing.right
+    for x in elements:
+        text = json.dumps(x.to_json())
+        again = model.from_json(json.loads(text))
+        assert json.dumps(again.to_json()) == text
+        assert same_element(name, x, again), text
+
+
 _SCALAR = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
 _ANY = st.recursive(
     _SCALAR,
@@ -323,3 +358,66 @@ def test_fuzzed_files_give_an_exit_code(command, data):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(head + paths + tail)
     assert code in (0, 1, 2)
+
+
+# string arguments: scale strings, their near misses, and JSON arrays of both
+_GOOD_SCALE = st.sampled_from(["0", "1/2", "2", "0.25", "1/3", "10"])
+_NEAR_SCALE = st.sampled_from([
+    "1/0", "0/0", "-1", "+1", "-0", "1e3", "1E3", "2.5e-1", "1e999999999", ".5", "1.", " 2", "1\n",
+    "\t1/2", "1_000", "１", "١", "½", "1//2", "1/2/3", "1/-2", "", "0x1", "nan", "inf",
+    "9" * 5000,
+])
+_SHAPED = st.from_regex(r"[-+ ]?[0-9]{0,3}[./eE_]?[0-9]{0,3}[./eE]?[0-9]{0,2}", fullmatch=True)
+_SCALE_ARG = _GOOD_SCALE | _NEAR_SCALE | _SHAPED | st.text(max_size=8)
+_ITEM = _SCALE_ARG | st.none() | st.booleans() | st.integers(-3, 10**40) | st.floats()
+_ARRAY = st.lists(_ITEM | st.lists(_SCALE_ARG, max_size=2), max_size=4).map(json.dumps)
+# well-formed arrays, arrays with one near miss, arrays cut short, JSON of
+# another shape, and plain text
+_ARRAY_ARG = (
+    st.lists(_GOOD_SCALE, max_size=3).map(json.dumps)
+    | st.lists(_GOOD_SCALE | _NEAR_SCALE, min_size=2, max_size=2).map(json.dumps)
+    | _ARRAY
+    | _ARRAY.flatmap(lambda text: st.integers(0, len(text)).map(lambda k: text[:k]))
+    | _ITEM.map(json.dumps)
+    | st.dictionaries(st.text(max_size=2), _ITEM, max_size=2).map(json.dumps)
+    | _SCALE_ARG
+)
+_FILES = {
+    "f": {"support": [["1", 2], ["1/2", 1]]},
+    "maps": {"cells": [["0", "1/2"], ["1", "0"]]},
+    "anchors_f": [{"support": [["1", 1]]}, {"support": [["1/2", 1]]}],
+    "anchors_maps": [{"cells": [["0", "1"], ["1", "0"]]}, {"cells": [["", "0"]]}],
+    "space": SPACE,
+}
+# (arguments before the fuzzed option, the option, the strategy of its value)
+_STRING_ARGS = [
+    (["petal-dist", "--model", "f", "{f}"], "--range", _ARRAY_ARG),
+    (["petal-dist", "--model", "maps", "{maps}"], "--range", _ARRAY_ARG),
+    (["extend", "--model", "f", "{anchors_f}"], "--targets", _ARRAY_ARG),
+    (["extend", "--model", "maps", "{anchors_maps}"], "--targets", _ARRAY_ARG),
+    (["quotient", "{space}"], "--eps", _GOOD_SCALE | _SCALE_ARG | _ARRAY_ARG),
+]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_STRING_ARGS), data=st.data())
+def test_fuzzed_string_arguments_give_an_exit_code(case, data):
+    # whatever text a string argument holds, main returns 0, 1 or 2, and a
+    # refusal is one error line, never a traceback
+    head, option, strategy = case
+    text = data.draw(strategy)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, content in _FILES.items():
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(content))
+        # the option=value form, so that a value starting with "-" stays a value
+        argv = [arg.format(**paths) for arg in head] + [f"{option}={text}"]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert "Traceback" not in err.getvalue()

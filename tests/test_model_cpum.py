@@ -28,6 +28,26 @@ def brute_ud(d, e) -> Fraction:
     return worst
 
 
+def refined_ud(d, e) -> Fraction:
+    # oracle: the refinement-based ud, sorting the union of the cells
+    refined = refinement((d.cells, e.cells))
+    od = cell_owners(refined, d.cells)
+    oe = cell_owners(refined, e.cells)
+    worst = ZERO
+    n = len(refined)
+    for i in range(n):
+        di = d.dist[od[i]]
+        ei = e.dist[oe[i]]
+        for j in range(i + 1, n):
+            a = di[od[j]]
+            b = ei[oe[j]]
+            if a != b:
+                hi = a if a > b else b
+                if hi > worst:
+                    worst = hi
+    return worst
+
+
 def test_constructor_allows_pseudo_but_validates():
     CantorPseudoUltrametric(["0", "1"], [["0", "0"], ["0", "0"]])
     with pytest.raises(NotSymmetric):
@@ -69,11 +89,14 @@ def test_ud_examples():
 
 def test_ud_across_partitions_and_brute_force():
     rng = spawn_rng(61)
+    one_cell = CantorPseudoUltrametric([""], [["0"]])
     for _ in range(200):
         d = gen_cpum(rng)
         e = gen_cpum(rng)
-        assert ud(d, e) == brute_ud(d, e)
+        assert ud(d, e) == brute_ud(d, e) == refined_ud(d, e)
         assert ud(d, e) == ud(e, d)
+        assert ud(d, one_cell) == brute_ud(d, one_cell) == refined_ud(d, one_cell)
+        assert ud(d, d) == ZERO
 
 
 def test_spectrum_examples():

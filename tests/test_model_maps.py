@@ -2,17 +2,25 @@ from fractions import Fraction
 
 import pytest
 
-from ultrapetal.cells import cell_owners, check_prefixes, refinement
+from ultrapetal.cells import align, cell_owners, check_prefixes, refinement
 from ultrapetal.extension import Inconsistent
 from ultrapetal.model_maps import (
     CantorFunction,
+    _place,
     nabla,
     one_point_extension,
     trace,
     zero_function,
 )
 from ultrapetal.petal import MAPS
-from ultrapetal.petal_harness import gen_cantor_function, spawn_rng
+from ultrapetal.petal_harness import (
+    POOL,
+    TrialConfig,
+    back_and_forth,
+    gen_cantor_function,
+    gen_partition,
+    spawn_rng,
+)
 from ultrapetal.scales import RangeSet, ZERO
 
 
@@ -33,6 +41,58 @@ def brute_nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
         if a != b:
             worst = max(worst, a, b)
     return worst
+
+
+def refined_nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
+    # oracle: the refinement-based nabla, sorting the union of the prefixes
+    if f.cells == g.cells:
+        return ZERO
+    pf = f.prefixes()
+    pg = g.prefixes()
+    refined = refinement((pf, pg))
+    of = cell_owners(refined, pf)
+    og = cell_owners(refined, pg)
+    worst = ZERO
+    for pos in range(len(refined)):
+        a = f.cells[of[pos]][1]
+        b = g.cells[og[pos]][1]
+        if a != b:
+            hi = a if a > b else b
+            if hi > worst:
+                worst = hi
+    return worst
+
+
+def refined_place(anchors, want, m, i) -> CantorFunction:
+    # oracle: split the first cell of the anchors' common refinement where
+    # anchor i vanishes, found by refining every anchor
+    base = anchors[i]
+    refined = refinement(tuple(a.prefixes() for a in anchors))
+    owners = cell_owners(refined, base.prefixes())
+    split, zero_cell = next(
+        (cell, base.cells[owner][0])
+        for cell, owner in zip(refined, owners)
+        if base.cells[owner][1] == ZERO
+    )
+    table = {k: v for k, v in base.cells if k != zero_cell}
+    walk = zero_cell
+    for step in split[len(zero_cell):]:
+        table[walk + ("1" if step == "0" else "0")] = ZERO
+        walk += step
+    table[split + "0"] = m
+    table[split + "1"] = ZERO
+    return CantorFunction(table)
+
+
+def grown_functions(seed: int, trials: int) -> list[CantorFunction]:
+    # the locally constant side of a back-and-forth run: the anchors the
+    # one-point extension refines round after round
+    return back_and_forth(TrialConfig(seed=seed, trials=trials)).right
+
+
+def reference_align(a, b):
+    refined = refinement((a, b))
+    return cell_owners(refined, a), cell_owners(refined, b)
 
 
 def test_partition_validation():
@@ -66,6 +126,41 @@ def test_refinement_and_owners():
     assert refined == ["00", "01", "10", "11"]
     assert cell_owners(refined, left) == [0, 0, 1, 2]
     assert cell_owners(refined, right) == [0, 1, 2, 2]
+
+
+def test_align_matches_refinement_oracle():
+    rng = spawn_rng(53)
+    # the 2000-cell chain 1, 01, 001, ..., 0^1999 1, 0^2000
+    chain = tuple(sorted(["0" * k + "1" for k in range(2000)] + ["0" * 2000]))
+    fixed = [("",), ("0", "1"), ("0", "10", "11"), ("00", "01", "1")]
+    generated = [tuple(gen_partition(rng, rng.choice((1, 2, 6, 30, 200)))) for _ in range(400)]
+    grown = [f.prefixes() for seed in (1, 2) for f in grown_functions(seed, 30)]
+    keysets = fixed + generated + grown
+    pairs = [(a, a) for a in keysets + [chain]]
+    pairs += [(a, b) for a in fixed for b in keysets] + [(b, a) for a in fixed for b in keysets]
+    pairs += [(chain, b) for b in keysets[::10]] + [(b, chain) for b in keysets[::10]]
+    pairs += [(rng.choice(keysets), rng.choice(keysets)) for _ in range(3000)]
+    pairs += list(zip(grown, grown[1:]))
+    for a, b in pairs:
+        assert align(a, b) == reference_align(a, b), (a, b)
+    oa, ob = align(("",), chain)
+    assert oa == [0] * 2001 and ob == list(range(2001))
+
+
+def test_nabla_and_place_match_refinement_oracles():
+    rng = spawn_rng(54)
+    grown = grown_functions(3, 25)
+    pools = [grown] + [[gen_cantor_function(rng) for _ in range(8)] for _ in range(40)]
+    for pool in pools:
+        for f in pool:
+            for g in pool:
+                assert nabla(f, g) == refined_nabla(f, g)
+    for _ in range(3000):
+        pool = rng.choice(pools)
+        anchors = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        m = rng.choice(POOL.positives())
+        i = rng.randrange(len(anchors))
+        assert _place(anchors, [], m, i) == refined_place(anchors, [], m, i)
 
 
 def test_nabla_examples():
