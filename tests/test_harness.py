@@ -4,19 +4,23 @@ import json
 
 import pytest
 
-from ultrapetal import model_f, model_maps
+from ultrapetal import model_cpum, model_f, model_gh, model_maps
 from ultrapetal.petal import MODELS, Model
+from ultrapetal.model_gh import GHPoint
 from ultrapetal.petal_harness import (
     _CPUM,
     _F,
     _GH,
     _MAPS,
+    POOL,
     SUITES,
     InvariantViolation,
     PartialIsometry,
     TrialConfig,
     _check_approximate,
     _check_covering,
+    _twin_cpum,
+    _twin_gh,
     back_and_forth,
     backforth_report,
     gen_cantor_function,
@@ -207,6 +211,30 @@ def test_pinned_pairings_and_suite_table():
         for spec in specs
     }
     assert _sha256(table) == "9547484525acc0459b6e1ecccea7dd346df0fc2289eca83087922ff091a9d763"
+
+
+def test_pinned_generator_bytes():
+    # the JSON of every generated space and pseudo-ultrametric, its twin,
+    # its rebuilt dendrogram and its truncations at every pool scale; a
+    # change to a generator's draws or to how an element is built from
+    # its tree changes the digest
+    rng = spawn_rng(20240811, 8)
+    record = []
+    for _ in range(300):
+        for space in (gen_space(rng), gen_space(rng, max_points=8, pool=gen_range_set(rng))):
+            x = GHPoint(space)
+            record.append(space.to_json())
+            record.append(space.dendrogram().to_space().to_json())
+            record.append(_twin_gh(rng, x).to_json())
+            record.extend(model_gh.truncate(x, u).to_json() for u in POOL)
+        for d in (gen_cpum(rng), gen_cpum(rng, pool=gen_range_set(rng))):
+            twin = _twin_cpum(rng, d)
+            record.append(d.to_json())
+            record.append(twin.to_json())
+            record.append(_twin_cpum(rng, twin).to_json())
+            record.extend(model_cpum.truncate(e, u).to_json() for e in (d, twin) for u in POOL)
+    assert len(record) == 300 * (2 * (3 + 7) + 2 * (3 + 14))
+    assert _sha256(record) == "49259fb273f4f3181599443026d9206369deeac7b894567c4b9db08ce2155e12"
 
 
 def _halved_above_one(metric):
