@@ -14,24 +14,34 @@ V = TypeVar("V")
 
 
 def check_prefixes(prefixes: Iterable[str]) -> tuple[str, ...]:
-    """Validate and sort a complete prefix-free set of binary strings."""
+    """Validate and sort a complete prefix-free set of binary strings.
+
+    One pass over the sorted keys.  Extensions of a key sort contiguously
+    right after it, so one adjacent check decides prefix-freeness.
+    Siblings are adjacent too, so a stack folds each right sibling ``p1``
+    with the ``p0`` just below it into ``p``, and the cells are complete
+    exactly when they fold into the empty prefix.
+    """
     keys = list(prefixes)
     if not keys:
         raise ValueError("cell partition must be nonempty")
     for k in keys:
-        if not isinstance(k, str) or any(c not in "01" for c in k):
+        if not isinstance(k, str) or k.strip("01"):
             raise ValueError(f"cell prefix must be a binary string, got {k!r}")
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate cell prefixes")
     keys.sort()
-    # extensions of a key sort contiguously right after it, so one
-    # adjacent check decides prefix-freeness
-    for a, b in zip(keys, keys[1:]):
-        if b.startswith(a):
-            raise ValueError(f"cell {a!r} is a prefix of cell {b!r}")
-    # cell k has measure 2**-len(k); scaled by 2**depth the sum is an integer
-    depth = max(len(k) for k in keys)
-    if sum(1 << (depth - len(k)) for k in keys) != 1 << depth:
+    stack: list[str] = []
+    prev = None
+    for key in keys:
+        if prev is not None and key.startswith(prev):
+            raise ValueError(f"cell {prev!r} is a prefix of cell {key!r}")
+        prev = key
+        while stack and key.endswith("1") and stack[-1] == key[:-1] + "0":
+            stack.pop()
+            key = key[:-1]
+        stack.append(key)
+    if stack != [""]:
         total = sum(Fraction(1, 2 ** len(k)) for k in keys)
         raise ValueError(f"cells cover measure {total}, not the whole space")
     return tuple(keys)
@@ -40,20 +50,23 @@ def check_prefixes(prefixes: Iterable[str]) -> tuple[str, ...]:
 def merge_equal_siblings(values: dict[str, V]) -> dict[str, V]:
     """Coarsest partition representing the same cell-wise assignment.
 
-    Repeatedly replaces sibling cells carrying equal values by their
-    parent; the normal form is unique.
+    Replaces sibling cells carrying equal values by their parent, up the
+    tree as far as the values stay equal; the normal form is unique.
+    The same fold as ``check_prefixes``, on the sorted keys of a
+    prefix-free set, folding only equal-valued siblings.  Keys come out
+    sorted.
     """
-    out = dict(values)
-    longest = max((len(k) for k in out), default=0)
-    for length in range(longest, 0, -1):
-        level = [k for k in out if len(k) == length and k[-1] == "0"]
-        for key in level:
-            sibling = key[:-1] + "1"
-            if sibling in out and key in out and out[sibling] == out[key]:
-                merged_value = out.pop(key)
-                out.pop(sibling)
-                out[key[:-1]] = merged_value
-    return out
+    keys: list[str] = []
+    held: list[V] = []
+    for key in sorted(values):
+        value = values[key]
+        while keys and key.endswith("1") and held[-1] == value and keys[-1] == key[:-1] + "0":
+            keys.pop()
+            held.pop()
+            key = key[:-1]
+        keys.append(key)
+        held.append(value)
+    return dict(zip(keys, held))
 
 
 def refinement(keysets: Iterable[Sequence[str]]) -> list[str]:

@@ -13,42 +13,51 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cells import align, check_prefixes
-from .scales import RangeSet, ScaleLike, ZERO, scale_str
-from .umspace import check_matrix
+from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
+from .umspace import Dendrogram, check_matrix, check_tree
 
 
 class CantorPseudoUltrametric:
     """Cell partition with an exact pseudo-ultrametric matrix over the cells.
 
     Cells are stored in lexicographic order (the matrix is permuted to
-    match).  Elements are compared up to the induced function on pairs,
-    not up to cell structure; equality of elements is ``ud(d, e) == 0``.
-    Immutable.
+    match), together with the dendrogram over the cells, whose 0-nodes
+    hold cells at distance 0.  Elements are compared up to the induced
+    function on pairs, not up to cell structure; equality of elements is
+    ``ud(d, e) == 0``.  Immutable.
     """
 
-    __slots__ = ("cells", "dist")
+    __slots__ = ("cells", "dist", "_tree")
 
     def __init__(self, cells: Sequence[str], dist: Sequence[Sequence[ScaleLike]]):
         given = list(cells)
         ordered = check_prefixes(given)
-        rows, _ = check_matrix(dist, given, allow_zero=True)
+        rows, self._tree = check_matrix(dist, given, allow_zero=True)
         order = sorted(range(len(given)), key=lambda i: given[i])
         self.cells: tuple[str, ...] = ordered
         self.dist: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(rows[a][b] for b in order) for a in order
         )
 
+    @classmethod
+    def _from_tree(cls, cells: Sequence[str], tree: Dendrogram) -> "CantorPseudoUltrametric":
+        """The element of a dendrogram over ``cells``, checked by ``check_tree``."""
+        d = object.__new__(cls)
+        d.cells = check_prefixes(cells)
+        d.dist = check_tree(d.cells, tree, allow_zero=True)
+        d._tree = tree
+        return d
+
+    def dendrogram(self) -> Dendrogram:
+        """The tree over the cells; child order is arbitrary."""
+        return self._tree
+
     def __repr__(self) -> str:
         return f"CantorPseudoUltrametric({len(self.cells)} cells)"
 
     def spectrum(self) -> RangeSet:
-        """{0} together with every matrix entry."""
-        values = {ZERO}
-        n = len(self.cells)
-        for i in range(n):
-            for j in range(i + 1, n):
-                values.add(self.dist[i][j])
-        return RangeSet(values)
+        """{0} together with every matrix entry: the dendrogram's scales."""
+        return RangeSet(self._tree.scales())
 
     def to_json(self) -> dict:
         return {
@@ -92,14 +101,25 @@ def trace(d: CantorPseudoUltrametric) -> RangeSet:
     return d.spectrum()
 
 
+def zero_node(leaves: Sequence[Dendrogram]) -> Dendrogram:
+    """The tree of leaves at distance 0 from each other: a 0-node, or one leaf."""
+    return leaves[0] if len(leaves) == 1 else Dendrogram(ZERO, None, tuple(leaves))
+
+
+def flatten(tree: Dendrogram, u: Fraction) -> Dendrogram:
+    """``tree`` with every subtree at or below ``u`` made one 0-node of its leaves."""
+    return tree.cut(as_scale(u), lambda node: zero_node([n for n in node.nodes() if n.is_leaf]))
+
+
 def truncate(d: CantorPseudoUltrametric, u: Fraction) -> CantorPseudoUltrametric:
     """Zero every entry at or below ``u``.
 
     Lowering small values to 0 cannot break the strong triangle
     inequality when all surviving entries are larger, so the result is
-    again a pseudo-ultrametric, within ``u`` of ``d``.
+    again a pseudo-ultrametric, within ``u`` of ``d``.  On the dendrogram
+    this flattens every subtree at or below ``u``.
     """
-    return CantorPseudoUltrametric(d.cells, [[v if v > u else ZERO for v in row] for row in d.dist])
+    return CantorPseudoUltrametric._from_tree(d.cells, flatten(d.dendrogram(), u))
 
 
 __all__ = [

@@ -64,9 +64,15 @@ def na_distance(x: GHPoint, y: GHPoint) -> Fraction:
 
     Candidates are 0 and the two spectra, the largest of which always
     matches.  Quotients compose, so a match at eps holds at every larger
-    eps, and a binary search finds the least one.
+    eps, and a binary search finds the least one.  The spectra are the
+    trees' internal scales, merged by a sort and an adjacent dedupe.
     """
-    candidates = sorted(set(x.spectrum().elems) | set(y.spectrum().elems))
+    scales = x.space.dendrogram().scales() + y.space.dendrogram().scales()
+    scales.sort()
+    candidates = [ZERO]
+    for scale in scales:
+        if scale != candidates[-1]:
+            candidates.append(scale)
     return candidates[bisect_left(
         candidates, True, key=lambda eps: x.quotient_canon(eps) == y.quotient_canon(eps)
     )]

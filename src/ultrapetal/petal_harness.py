@@ -21,13 +21,13 @@ from typing import Callable, Sequence
 from . import model_f, model_maps
 from .cells import cell_owners, refinement
 from .extension import Inconsistent, embed
-from .model_cpum import CantorPseudoUltrametric
+from .model_cpum import CantorPseudoUltrametric, flatten, zero_node
 from .model_f import SupportMap
 from .model_gh import GHPoint, na_distance, na_oracle
 from .model_maps import CantorFunction
 from .petal import CPUM, F, GH, MAPS, Model
 from .scales import RangeSet, ZERO, as_scale
-from .umspace import FiniteUltraSpace, NotUltrametric
+from .umspace import Dendrogram, FiniteUltraSpace, NotUltrametric, check_tree
 
 GENERATOR_NAME = "random.Random-MT19937"
 # every generator draws its scales from POOL and its sizes up to these bounds
@@ -94,35 +94,46 @@ def gen_cantor_function(rng: random.Random, pool: RangeSet = POOL) -> CantorFunc
     return CantorFunction(values)
 
 
-def random_ultrametric_rows(
-    rng: random.Random, n: int, positives: Sequence[Fraction]
-) -> list[list[Fraction]]:
-    """Distance rows of a random n-point ultrametric built as a dendrogram."""
-    rows = [[ZERO] * n for _ in range(n)]
+def random_ultrametric_tree(
+    rng: random.Random, labels: Sequence[str], positives: Sequence[Fraction]
+) -> Dendrogram:
+    """A random dendrogram over ``labels`` with scales from ``positives`` (``Scale``s).
 
-    def build(indices: list[int], avail: Sequence[Fraction]) -> None:
-        if len(indices) <= 1:
-            return
-        scale = avail[rng.randrange(len(avail))]
-        below = [v for v in avail if v < scale]
-        nblocks = rng.randint(2, len(indices)) if below else len(indices)
-        items = indices[:]
+    Each ball of two or more points draws its scale among those below
+    its parent's, then splits into a random number of blocks: at least
+    two, and all singletons when no smaller scale is left.  Balls are
+    split depth-first, first block first.
+    """
+    root = Dendrogram()
+    stack = [(root, list(labels), sorted(positives))]
+    while stack:
+        node, items, avail = stack.pop()
+        if len(items) == 1:
+            node.label = items[0]
+            continue
+        node.scale = avail[rng.randrange(len(avail))]
+        below = [v for v in avail if v < node.scale]
+        nblocks = rng.randint(2, len(items)) if below else len(items)
         rng.shuffle(items)
         if nblocks < len(items):
             cuts = sorted(rng.sample(range(1, len(items)), nblocks - 1))
         else:
             cuts = list(range(1, len(items)))
+        node.children = tuple(Dendrogram() for _ in range(nblocks))
         blocks = [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
-        for bi in range(len(blocks)):
-            for bj in range(bi + 1, len(blocks)):
-                for a in blocks[bi]:
-                    for b in blocks[bj]:
-                        rows[a][b] = rows[b][a] = scale
-        for block in blocks:
-            build(block, below)
+        stack.extend((child, block, below) for child, block in zip(node.children[::-1], blocks[::-1]))
+    return root
 
-    build(list(range(n)), sorted(positives))
-    return rows
+
+def random_ultrametric_rows(
+    rng: random.Random, n: int, positives: Sequence[Fraction]
+) -> list[list[Fraction]]:
+    """Distance rows of a random n-point ultrametric (``random_ultrametric_tree``)."""
+    if n == 0:
+        return []
+    labels = [str(i) for i in range(n)]
+    tree = random_ultrametric_tree(rng, labels, [as_scale(v) for v in positives])
+    return [list(row) for row in check_tree(labels, tree)]
 
 
 def gen_space(
@@ -130,22 +141,34 @@ def gen_space(
 ) -> FiniteUltraSpace:
     positives = pool.positives()
     n = rng.randint(1, max_points if positives else 1)
-    rows = random_ultrametric_rows(rng, n, positives)
-    return FiniteUltraSpace([f"p{i}" for i in range(n)], rows)
+    labels = [f"p{i}" for i in range(n)]
+    return FiniteUltraSpace._from_tree(labels, random_ultrametric_tree(rng, labels, positives))
 
 
 def gen_cpum(rng: random.Random, pool: RangeSet = POOL) -> CantorPseudoUltrametric:
     positives = pool.positives()
     cells = gen_partition(rng, MAX_SUPPORT)
-    n = len(cells)
-    if positives and n > 1:
-        rows = random_ultrametric_rows(rng, n, positives)
+    if positives and len(cells) > 1:
+        tree = random_ultrametric_tree(rng, cells, positives)
         if rng.random() < 0.4:
-            cut = positives[rng.randrange(len(positives))]
-            rows = [[v if v > cut else ZERO for v in row] for row in rows]
+            tree = flatten(tree, positives[rng.randrange(len(positives))])
     else:
-        rows = [[ZERO] * n for _ in range(n)]
-    return CantorPseudoUltrametric(cells, rows)
+        tree = zero_node([Dendrogram(label=cell) for cell in cells])
+    return CantorPseudoUltrametric._from_tree(cells, tree)
+
+
+def _regrow(tree: Dendrogram, grow: Callable[[str], Sequence[str]]) -> Dendrogram:
+    """A copy of ``tree`` whose leaf ``a`` becomes the leaves ``grow(a)``, at distance 0."""
+    made: dict[int, Dendrogram] = {}
+    for node in reversed(list(tree.nodes())):  # children before parents
+        if node.is_leaf:
+            made[id(node)] = zero_node([Dendrogram(label=b) for b in grow(node.label)])
+            continue
+        children = [made.pop(id(child)) for child in node.children]
+        if node.scale == ZERO:  # a 0-node takes in the leaves of a split child
+            children = [leaf for child in children for leaf in (child.children or (child,))]
+        made[id(node)] = Dendrogram(node.scale, None, tuple(children))
+    return made[id(tree)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +193,19 @@ def _twin_maps(rng: random.Random, x: CantorFunction) -> CantorFunction:
 def _twin_cpum(rng: random.Random, d: CantorPseudoUltrametric) -> CantorPseudoUltrametric:
     # split one cell in two; the induced pseudo-ultrametric is unchanged
     cells = list(d.cells)
-    i = rng.randrange(len(cells))
-    target = cells.pop(i)
-    new_cells = cells + [target + "0", target + "1"]
-    old = [j for j in range(len(d.cells)) if j != i] + [i, i]
-    rows = []
-    for a, oa in enumerate(old):
-        row = []
-        for b, ob in enumerate(old):
-            row.append(ZERO if a == b or (oa == i and ob == i) else d.dist[oa][ob])
-        rows.append(row)
-    return CantorPseudoUltrametric(new_cells, rows)
+    target = cells.pop(rng.randrange(len(cells)))
+    halves = [target + "0", target + "1"]
+    tree = _regrow(d.dendrogram(), lambda cell: halves if cell == target else (cell,))
+    return CantorPseudoUltrametric._from_tree(cells + halves, tree)
 
 
 def _twin_gh(rng: random.Random, x: GHPoint) -> GHPoint:
+    # the same space with its points shuffled and renamed
     order = list(range(len(x.space)))
     rng.shuffle(order)
-    labels = [f"r{i}" for i in range(len(order))]
-    rows = [[x.space.dist[a][b] for b in order] for a in order]
-    return GHPoint(FiniteUltraSpace(labels, rows))
+    names = {x.space.labels[old]: f"r{new}" for new, old in enumerate(order)}
+    tree = _regrow(x.space.dendrogram(), lambda label: (names[label],))
+    return GHPoint(FiniteUltraSpace._from_tree([f"r{i}" for i in range(len(order))], tree))
 
 
 def _cpum_same(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> bool:

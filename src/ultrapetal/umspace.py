@@ -9,9 +9,9 @@ space.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
+from .scales import RangeSet, Scale, ScaleLike, ZERO, as_scale, scale_str
 
 
 class SpaceError(ValueError):
@@ -75,6 +75,62 @@ def check_matrix(
     if tree is None:
         _first_violation(rows, names)
     return rows, tree
+
+
+def check_tree(
+    labels: Sequence[str], tree: "Dendrogram", allow_zero: bool = False
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the (pseudo-)ultrametric a dendrogram stands for.
+
+    The internal path for spaces the package builds itself: one pass,
+    children before parents, checks the tree and fills each pair once,
+    at its lowest common ancestor, with no scale comparisons between
+    entries.
+    Every internal node must have at least two children and a ``Scale``
+    that is positive (or 0 with ``allow_zero``) and strictly above the
+    scales of its internal children; every label must be a leaf exactly
+    once.  Such a tree is the one ``_build`` makes from its rows, up to
+    child order, so the rows are ultrametric.  The check is O(nodes),
+    the fill O(n^2).
+    """
+    n = len(labels)
+    index = dict(zip(labels, range(n)))
+    if len(index) != n:
+        raise SpaceError("point labels must be distinct")
+    rows = [[ZERO] * n for _ in range(n)]
+    order = [tree]
+    for node in order:  # breadth first: parents before children
+        order.extend(node.children)
+    members: dict[Dendrogram, list[int]] = {}
+    for node in reversed(order):
+        children = node.children
+        if not children:
+            i = index.pop(node.label, None)
+            if i is None:
+                raise SpaceError(f"leaf {node.label!r} is not a point or appears twice")
+            members[node] = [i]
+            continue
+        scale = node.scale
+        if len(children) < 2:
+            raise SpaceError("an internal node needs at least two children")
+        if type(scale) is not Scale or scale._numerator < 0 or (scale._numerator == 0 and not allow_zero):
+            kind = "non-negative" if allow_zero else "positive"
+            raise SpaceError(f"node scale must be a {kind} Scale, got {scale!r}")
+        seen: list[int] = []
+        for child in children:
+            if child.children and not child.scale < scale:
+                raise SpaceError(f"child scale {child.scale} is not below its parent's {scale}")
+            group = members.pop(child)
+            for a in group:
+                row = rows[a]
+                for b in seen:
+                    row[b] = scale
+                    rows[b][a] = scale
+            seen += group
+        members[node] = seen
+    if index:
+        raise SpaceError(f"point {next(iter(index))!r} is not a leaf of the tree")
+    return tuple(map(tuple, rows))
 
 
 def _build(
@@ -168,6 +224,10 @@ class Dendrogram:
             yield node
             stack.extend(reversed(node.children))
 
+    def scales(self) -> list[Fraction]:
+        """The scales of the internal nodes, one per node, in pre-order."""
+        return [node.scale for node in self.nodes() if node.children]
+
     def leaves(self) -> list[str]:
         return [node.label or "" for node in self.nodes() if node.is_leaf]
 
@@ -186,28 +246,38 @@ class Dendrogram:
                 codes[id(node)] = "*"
         return codes[id(self)]
 
+    def cut(self, bound: Fraction, stub: Callable[["Dendrogram"], "Dendrogram"]) -> "Dendrogram":
+        """The tree above ``bound``, each subtree at or below it replaced.
+
+        Every leaf and every maximal subtree whose scale is at most
+        ``bound`` becomes ``stub(subtree)``; the nodes above keep their
+        scales and child order.  The tree itself is not changed.
+        """
+        made: dict[Dendrogram, Dendrogram] = {}
+        above: list[Dendrogram] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf or node.scale <= bound:
+                made[node] = stub(node)
+            else:
+                above.append(node)
+                stack.extend(node.children)
+        for node in reversed(above):  # children before parents
+            made[node] = Dendrogram(node.scale, None, tuple(made.pop(child) for child in node.children))
+        return made[self]
+
     def to_space(self) -> "FiniteUltraSpace":
-        """Reconstruct the space whose dendrogram this is."""
-        labels = sorted(self.leaves())
-        index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
-        dist = [[ZERO] * n for _ in range(n)]
-        for node in self.nodes():
-            seen: list[int] = []
-            for child in node.children:
-                group = [index[lab] for lab in child.leaves()]
-                for a in group:
-                    for b in seen:
-                        dist[a][b] = dist[b][a] = node.scale
-                seen.extend(group)
-        return FiniteUltraSpace(labels, dist)
+        """The space whose dendrogram this is, its points in sorted order."""
+        return FiniteUltraSpace._from_tree(sorted(self.leaves()), self)
 
 
 class FiniteUltraSpace:
     """A labelled finite set with an exact ultrametric distance matrix.
 
     Immutable; construction validates symmetry, positivity off the
-    diagonal and the strong triangle inequality.
+    diagonal and the strong triangle inequality.  Spaces the package
+    builds itself come from a checked dendrogram instead (``_from_tree``).
     """
 
     __slots__ = ("labels", "dist", "_index", "_tree")
@@ -224,6 +294,16 @@ class FiniteUltraSpace:
         self.dist, self._tree = check_matrix(dist, labs, allow_zero=False)
         self._index = {lab: i for i, lab in enumerate(labs)}
 
+    @classmethod
+    def _from_tree(cls, labels: Sequence[str], tree: Dendrogram) -> "FiniteUltraSpace":
+        """The space of a dendrogram over ``labels``, checked by ``check_tree``."""
+        space = object.__new__(cls)
+        space.labels = tuple(labels)
+        space.dist = check_tree(space.labels, tree)
+        space._tree = tree
+        space._index = {lab: i for i, lab in enumerate(space.labels)}
+        return space
+
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -235,7 +315,7 @@ class FiniteUltraSpace:
 
     def spectrum(self) -> RangeSet:
         """All distance values that occur, together with 0: the dendrogram's scales."""
-        return RangeSet(node.scale for node in self._tree.nodes() if not node.is_leaf)
+        return RangeSet(self._tree.scales())
 
     def quotient(self, eps: ScaleLike) -> "FiniteUltraSpace":
         """Merge points at distance <= eps (closed-ball classes).
@@ -244,29 +324,24 @@ class FiniteUltraSpace:
         distance between any representatives, which exceeds eps; class
         labels are the sorted member labels joined by ``+``.
         """
-        bound = as_scale(eps)
-        n = len(self.labels)
-        classes: list[list[int]] = []
-        for i in range(n):
-            for cls_ in classes:
-                if self.dist[cls_[0]][i] <= bound:
-                    cls_.append(i)
-                    break
-            else:
-                classes.append([i])
-        labels = tuple(
-            "+".join(sorted(self.labels[i] for i in cls_)) for cls_ in classes
-        )
+        classes: list[tuple[int, str]] = []
+
+        def merge(node: Dendrogram) -> Dendrogram:
+            members = node.leaves()
+            label = "+".join(sorted(members))
+            classes.append((min(self._index[m] for m in members), label))
+            return Dendrogram(label=label)
+
+        tree = self._tree.cut(as_scale(eps), merge)
+        classes.sort()  # by first member, the order of the classes' first points
+        labels = [label for _, label in classes]
         if len(set(labels)) != len(labels):
             # only possible when point labels themselves contain "+"
             raise SpaceError("quotient class labels collide; avoid '+' in point labels")
-        dist = tuple(
-            tuple(self.dist[a[0]][b[0]] for b in classes) for a in classes
-        )
-        return FiniteUltraSpace(labels, dist)
+        return FiniteUltraSpace._from_tree(labels, tree)
 
     def dendrogram(self) -> Dendrogram:
-        """The tree built when the matrix was validated."""
+        """The tree the space was validated into or built from; child order is arbitrary."""
         return self._tree
 
     def canonical_form(self) -> str:

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from ultrapetal.cells import align, cell_owners, check_prefixes, refinement
+from ultrapetal.cells import align, cell_owners, check_prefixes, merge_equal_siblings, refinement
 from ultrapetal.extension import Inconsistent
 from ultrapetal.model_maps import (
     CantorFunction,
@@ -108,6 +109,91 @@ def test_partition_validation():
         check_prefixes(["0", "2"])  # alphabet
     with pytest.raises(ValueError):
         check_prefixes(["0", "0", "1"])  # duplicate
+
+
+# Reference oracles: the level-by-level sibling merge and the measure sum
+# that the one-pass sibling fold replaced.
+
+
+def _ref_check_prefixes(prefixes):
+    keys = list(prefixes)
+    if not keys:
+        raise ValueError("cell partition must be nonempty")
+    for k in keys:
+        if not isinstance(k, str) or any(c not in "01" for c in k):
+            raise ValueError(f"cell prefix must be a binary string, got {k!r}")
+    if len(set(keys)) != len(keys):
+        raise ValueError("duplicate cell prefixes")
+    keys.sort()
+    for a, b in zip(keys, keys[1:]):
+        if b.startswith(a):
+            raise ValueError(f"cell {a!r} is a prefix of cell {b!r}")
+    depth = max(len(k) for k in keys)
+    if sum(1 << (depth - len(k)) for k in keys) != 1 << depth:
+        total = sum(Fraction(1, 2 ** len(k)) for k in keys)
+        raise ValueError(f"cells cover measure {total}, not the whole space")
+    return tuple(keys)
+
+
+def _ref_merge_equal_siblings(values):
+    out = dict(values)
+    longest = max((len(k) for k in out), default=0)
+    for length in range(longest, 0, -1):
+        level = [k for k in out if len(k) == length and k[-1] == "0"]
+        for key in level:
+            sibling = key[:-1] + "1"
+            if sibling in out and key in out and out[sibling] == out[key]:
+                merged_value = out.pop(key)
+                out.pop(sibling)
+                out[key[:-1]] = merged_value
+    return out
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except ValueError as err:
+        return str(err)
+
+
+def test_cell_fold_matches_reference_oracles():
+    rng = spawn_rng(17, 0)
+    values = [ZERO, Fraction(1, 2), Fraction(1)]
+    for _ in range(1500):
+        cells = gen_partition(rng, rng.randint(1, 12))
+        assert check_prefixes(cells) == _ref_check_prefixes(cells)
+        table = {cell: values[rng.randrange(rng.randint(1, 3))] for cell in cells}
+        merged = merge_equal_siblings(table)
+        assert merged == _ref_merge_equal_siblings(table)
+        assert list(merged) == sorted(merged)
+        # a damaged partition gets the same verdict and message
+        bad = list(cells)
+        change = rng.randrange(5)
+        pick = rng.randrange(len(bad))
+        if change == 0:
+            bad.pop(pick)
+        elif change == 1:
+            bad.append(bad[pick])
+        elif change == 2:
+            bad[pick] += rng.choice("01")
+        elif change == 3:
+            bad[pick] = bad[pick][:-1]
+        else:
+            bad[pick] += rng.choice("2a ")
+        assert _outcome(check_prefixes, bad) == _outcome(_ref_check_prefixes, bad)
+
+
+def test_cell_fold_on_a_deep_chain():
+    # the chain 1, 01, 001, ..., 0^k1, 0^(k+1): one cell per depth
+    k = 2000
+    cells = ["0" * i + "1" for i in range(k)] + ["0" * k]
+    random.Random(5).shuffle(cells)
+    assert check_prefixes(cells) == _ref_check_prefixes(cells)
+    table = {cell: Fraction(len(cell) % 3) for cell in cells}
+    assert merge_equal_siblings(table) == _ref_merge_equal_siblings(table)
+    flat = dict.fromkeys(cells, ZERO)
+    assert merge_equal_siblings(flat) == {"": ZERO}
+    assert _outcome(check_prefixes, cells[1:]) == _outcome(_ref_check_prefixes, cells[1:])
 
 
 def test_constructor_requires_zero_and_merges():

@@ -3,10 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from ultrapetal.model_cpum import CantorPseudoUltrametric, truncate
 from ultrapetal.model_gh import GHPoint, na_distance
-from ultrapetal.petal_harness import POOL, gen_space, random_ultrametric_rows, spawn_rng
-from ultrapetal.scales import RangeSet, ZERO
+from ultrapetal.petal_harness import (
+    POOL,
+    gen_cpum,
+    gen_range_set,
+    gen_space,
+    random_ultrametric_rows,
+    spawn_rng,
+)
+from ultrapetal.scales import RangeSet, Scale, ZERO, as_scale
 from ultrapetal.umspace import (
+    Dendrogram,
     EmptySubset,
     FiniteUltraSpace,
     NotPositive,
@@ -14,6 +23,7 @@ from ultrapetal.umspace import (
     NotUltrametric,
     SpaceError,
     check_matrix,
+    check_tree,
     validate,
 )
 
@@ -310,5 +320,189 @@ def test_deep_chain_needs_no_recursion():
     eps = scales[n // 2]
     q = space.quotient(eps)
     assert len(q) == n // 2 + 1
+    _assert_same_space(q, FiniteUltraSpace(q.labels, q.dist))
     assert na_distance(GHPoint(space), GHPoint(q)) == eps
-    assert space.dendrogram().to_space().dist == space.dist
+    _assert_same_space(space.dendrogram().to_space(), space)
+
+
+# Reference oracles for the tree path: the matrix-built quotient,
+# dendrogram reconstruction, truncation and random rows that building
+# from trees replaced, each validated through check_matrix.
+
+
+def _ref_quotient(space, eps):
+    bound = as_scale(eps)
+    classes = []
+    for i in range(len(space)):
+        for cls_ in classes:
+            if space.dist[cls_[0]][i] <= bound:
+                cls_.append(i)
+                break
+        else:
+            classes.append([i])
+    labels = ["+".join(sorted(space.labels[i] for i in cls_)) for cls_ in classes]
+    return FiniteUltraSpace(labels, [[space.dist[a[0]][b[0]] for b in classes] for a in classes])
+
+
+def _ref_to_space(tree):
+    labels = sorted(tree.leaves())
+    index = {lab: i for i, lab in enumerate(labels)}
+    dist = [[ZERO] * len(labels) for _ in labels]
+    for node in tree.nodes():
+        seen = []
+        for child in node.children:
+            group = [index[lab] for lab in child.leaves()]
+            for a in group:
+                for b in seen:
+                    dist[a][b] = dist[b][a] = node.scale
+            seen.extend(group)
+    return FiniteUltraSpace(labels, dist)
+
+
+def _ref_truncate(d, u):
+    return CantorPseudoUltrametric(d.cells, [[v if v > u else ZERO for v in row] for row in d.dist])
+
+
+def _ref_random_rows(rng, n, positives):
+    rows = [[ZERO] * n for _ in range(n)]
+
+    def build(indices, avail):
+        if len(indices) <= 1:
+            return
+        scale = avail[rng.randrange(len(avail))]
+        below = [v for v in avail if v < scale]
+        nblocks = rng.randint(2, len(indices)) if below else len(indices)
+        items = indices[:]
+        rng.shuffle(items)
+        if nblocks < len(items):
+            cuts = sorted(rng.sample(range(1, len(items)), nblocks - 1))
+        else:
+            cuts = list(range(1, len(items)))
+        blocks = [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
+        for bi in range(len(blocks)):
+            for bj in range(bi + 1, len(blocks)):
+                for a in blocks[bi]:
+                    for b in blocks[bj]:
+                        rows[a][b] = rows[b][a] = scale
+        for block in blocks:
+            build(block, below)
+
+    build(list(range(n)), sorted(positives))
+    return rows
+
+
+def _unordered(tree):
+    """A dendrogram written with its child order forgotten."""
+    codes = {}
+    for node in reversed(list(tree.nodes())):
+        inner = sorted(codes.pop(id(child)) for child in node.children)
+        codes[id(node)] = f"{node.scale}|{node.label}({','.join(inner)})"
+    return codes[id(tree)]
+
+
+def _assert_same_space(built, want):
+    assert built.labels == want.labels
+    assert built.dist == want.dist
+    assert all(type(v) is Scale for row in built.dist for v in row)
+    assert built.canonical_form() == want.canonical_form()
+    assert built.spectrum() == want.spectrum()
+    assert _unordered(built.dendrogram()) == _unordered(want.dendrogram())
+
+
+def _assert_same_cpum(built, want):
+    assert built.cells == want.cells
+    assert built.dist == want.dist
+    assert built.spectrum() == want.spectrum()
+    assert _unordered(built.dendrogram()) == _unordered(want.dendrogram())
+
+
+def test_tree_path_matches_check_matrix():
+    rng = spawn_rng(23, 0)
+    for _ in range(300):
+        pool = gen_range_set(rng)
+        for space in (gen_space(rng, max_points=8), gen_space(rng, pool=pool)):
+            _assert_same_space(space, FiniteUltraSpace(space.labels, space.dist))
+            checked = FiniteUltraSpace(space.labels, space.dist).dendrogram()
+            _assert_same_space(checked.to_space(), _ref_to_space(checked))
+            for eps in space.spectrum():
+                _assert_same_space(space.quotient(eps), _ref_quotient(space, eps))
+        for d in (gen_cpum(rng), gen_cpum(rng, pool=pool)):
+            _assert_same_cpum(d, CantorPseudoUltrametric(d.cells, d.dist))
+            for u in POOL:
+                _assert_same_cpum(truncate(d, u), _ref_truncate(d, u))
+
+
+def test_random_rows_match_recursive_builder():
+    # same rows from the same draws, leaving the stream in the same state
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        n = rng.randint(1, 12)
+        ref.randint(1, 12)
+        positives = [Fraction(k, 8) for k in range(1, rng.randint(2, 9))]
+        ref.randint(2, 9)
+        assert random_ultrametric_rows(rng, n, positives) == _ref_random_rows(ref, n, positives)
+        assert rng.random() == ref.random()
+
+
+def _leaf(label):
+    return Dendrogram(label=label)
+
+
+HALF, ONE = as_scale("1/2"), as_scale(1)
+
+
+@pytest.mark.parametrize(
+    "labels, tree, allow_zero",
+    [
+        (["a"], Dendrogram(ONE, None, (_leaf("a"),)), False),  # one child
+        (["a", "b"], Dendrogram(Fraction(1), None, (_leaf("a"), _leaf("b"))), False),  # not a Scale
+        (["a", "b"], Dendrogram(1, None, (_leaf("a"), _leaf("b"))), False),
+        (["a", "b"], Dendrogram(None, None, (_leaf("a"), _leaf("b"))), False),
+        (["a", "b"], Dendrogram(ZERO, None, (_leaf("a"), _leaf("b"))), False),  # 0 in a metric
+        (["a", "b"], Dendrogram(Scale(-1), None, (_leaf("a"), _leaf("b"))), True),
+        (  # a 0-node over an internal node
+            ["a", "b", "c"],
+            Dendrogram(ZERO, None, (_leaf("a"), Dendrogram(ZERO, None, (_leaf("b"), _leaf("c"))))),
+            True,
+        ),
+        (  # child scale equal to its parent's
+            ["a", "b", "c"],
+            Dendrogram(ONE, None, (_leaf("a"), Dendrogram(ONE, None, (_leaf("b"), _leaf("c"))))),
+            False,
+        ),
+        (  # child scale above its parent's
+            ["a", "b", "c"],
+            Dendrogram(HALF, None, (_leaf("a"), Dendrogram(ONE, None, (_leaf("b"), _leaf("c"))))),
+            False,
+        ),
+        (["a", "b"], Dendrogram(ONE, None, (_leaf("a"), _leaf("a"))), False),  # a label twice
+        (["a", "b", "c"], Dendrogram(ONE, None, (_leaf("a"), _leaf("b"))), False),  # c missing
+        (["a", "b"], Dendrogram(ONE, None, (_leaf("a"), _leaf("x"))), False),  # x is no point
+        (["a", "a"], Dendrogram(ONE, None, (_leaf("a"), _leaf("a"))), False),  # labels repeat
+        ([], _leaf("a"), False),
+    ],
+)
+def test_malformed_trees_are_refused(labels, tree, allow_zero):
+    with pytest.raises(SpaceError):
+        check_tree(labels, tree, allow_zero=allow_zero)
+    with pytest.raises(SpaceError):
+        FiniteUltraSpace._from_tree(labels, tree)
+
+
+def test_malformed_cpum_trees_are_refused():
+    cells = ["0", "10", "11"]
+    for tree in (
+        Dendrogram(ZERO, None, (_leaf("0"), Dendrogram(ZERO, None, (_leaf("10"), _leaf("11"))))),
+        Dendrogram(ONE, None, (_leaf("0"), _leaf("10"))),
+        Dendrogram(HALF, None, (_leaf("0"), Dendrogram(HALF, None, (_leaf("10"), _leaf("11"))))),
+    ):
+        with pytest.raises(SpaceError):
+            CantorPseudoUltrametric._from_tree(cells, tree)
+
+
+def test_well_formed_trees_are_accepted():
+    chain = Dendrogram(ONE, None, (_leaf("a"), Dendrogram(HALF, None, (_leaf("b"), _leaf("c")))))
+    assert check_tree(["c", "b", "a"], chain) == ((0, HALF, 1), (HALF, 0, 1), (1, 1, 0))
+    zeros = Dendrogram(ONE, None, (_leaf("a"), Dendrogram(ZERO, None, (_leaf("b"), _leaf("c")))))
+    assert check_tree(["a", "b", "c"], zeros, allow_zero=True) == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+    assert check_tree(["a"], _leaf("a")) == ((0,),)
