@@ -20,24 +20,20 @@ from .umspace import Dendrogram, check_matrix, check_tree
 class CantorPseudoUltrametric:
     """Cell partition with an exact pseudo-ultrametric matrix over the cells.
 
-    Cells are stored in lexicographic order (the matrix is permuted to
-    match), together with the dendrogram over the cells, whose 0-nodes
-    hold cells at distance 0.  Elements are compared up to the induced
-    function on pairs, not up to cell structure; equality of elements is
-    ``ud(d, e) == 0``.  Immutable.
+    Cells are stored in lexicographic order, together with the dendrogram
+    over the cells, whose 0-nodes hold cells at distance 0; the rows are
+    filled from the tree in cell order.  Elements are compared up to the
+    induced function on pairs, not up to cell structure; equality of
+    elements is ``ud(d, e) == 0``.  Immutable.
     """
 
     __slots__ = ("cells", "dist", "_tree")
 
     def __init__(self, cells: Sequence[str], dist: Sequence[Sequence[ScaleLike]]):
         given = list(cells)
-        ordered = check_prefixes(given)
-        rows, self._tree = check_matrix(dist, given, allow_zero=True)
-        order = sorted(range(len(given)), key=lambda i: given[i])
-        self.cells: tuple[str, ...] = ordered
-        self.dist: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(rows[a][b] for b in order) for a in order
-        )
+        self.cells: tuple[str, ...] = check_prefixes(given)
+        _, self._tree = check_matrix(dist, given, allow_zero=True)
+        self.dist: tuple[tuple[Fraction, ...], ...] = check_tree(self.cells, self._tree, allow_zero=True)
 
     @classmethod
     def _from_tree(cls, cells: Sequence[str], tree: Dendrogram) -> "CantorPseudoUltrametric":

@@ -40,9 +40,9 @@ class CantorFunction:
         check_prefixes(table.keys())
         if ZERO not in table.values():
             raise ValueError("the image must contain 0")
-        merged = merge_equal_siblings(table)
-        self.keys: tuple[str, ...] = tuple(sorted(merged))
-        self.values: tuple[Fraction, ...] = tuple(merged[k] for k in self.keys)
+        merged = merge_equal_siblings(table)  # keys come out sorted
+        self.keys: tuple[str, ...] = tuple(merged)
+        self.values: tuple[Fraction, ...] = tuple(merged.values())
 
     @property
     def cells(self) -> tuple[tuple[str, Fraction], ...]:

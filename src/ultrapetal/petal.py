@@ -63,10 +63,7 @@ class Model:
 
     def covering_petal(self, points: Sequence) -> RangeSet:
         """A range set whose petal contains every given point: the traces' union."""
-        out = RangeSet()
-        for p in points:
-            out = out.union(self.trace(p))
-        return out
+        return RangeSet(v for p in points for v in self.trace(p))
 
 
 # one module-level name per record: perfbench/layer_trace.py rebinds the

@@ -27,7 +27,7 @@ from .model_gh import GHPoint, na_distance, na_oracle
 from .model_maps import CantorFunction
 from .petal import CPUM, F, GH, MAPS, Model
 from .scales import RangeSet, ZERO, as_scale
-from .umspace import Dendrogram, FiniteUltraSpace, NotUltrametric, check_tree
+from .umspace import Dendrogram, FiniteUltraSpace, NotUltrametric
 
 GENERATOR_NAME = "random.Random-MT19937"
 # every generator draws its scales from POOL and its sizes up to these bounds
@@ -125,17 +125,6 @@ def random_ultrametric_tree(
     return root
 
 
-def random_ultrametric_rows(
-    rng: random.Random, n: int, positives: Sequence[Fraction]
-) -> list[list[Fraction]]:
-    """Distance rows of a random n-point ultrametric (``random_ultrametric_tree``)."""
-    if n == 0:
-        return []
-    labels = [str(i) for i in range(n)]
-    tree = random_ultrametric_tree(rng, labels, [as_scale(v) for v in positives])
-    return [list(row) for row in check_tree(labels, tree)]
-
-
 def gen_space(
     rng: random.Random, max_points: int = MAX_POINTS, pool: RangeSet = POOL
 ) -> FiniteUltraSpace:
@@ -155,20 +144,6 @@ def gen_cpum(rng: random.Random, pool: RangeSet = POOL) -> CantorPseudoUltrametr
     else:
         tree = zero_node([Dendrogram(label=cell) for cell in cells])
     return CantorPseudoUltrametric._from_tree(cells, tree)
-
-
-def _regrow(tree: Dendrogram, grow: Callable[[str], Sequence[str]]) -> Dendrogram:
-    """A copy of ``tree`` whose leaf ``a`` becomes the leaves ``grow(a)``, at distance 0."""
-    made: dict[int, Dendrogram] = {}
-    for node in reversed(list(tree.nodes())):  # children before parents
-        if node.is_leaf:
-            made[id(node)] = zero_node([Dendrogram(label=b) for b in grow(node.label)])
-            continue
-        children = [made.pop(id(child)) for child in node.children]
-        if node.scale == ZERO:  # a 0-node takes in the leaves of a split child
-            children = [leaf for child in children for leaf in (child.children or (child,))]
-        made[id(node)] = Dendrogram(node.scale, None, tuple(children))
-    return made[id(tree)]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +170,11 @@ def _twin_cpum(rng: random.Random, d: CantorPseudoUltrametric) -> CantorPseudoUl
     cells = list(d.cells)
     target = cells.pop(rng.randrange(len(cells)))
     halves = [target + "0", target + "1"]
-    tree = _regrow(d.dendrogram(), lambda cell: halves if cell == target else (cell,))
+
+    def split(node: Dendrogram) -> Dendrogram:  # a leaf or a 0-node
+        return zero_node([Dendrogram(label=b) for a in node.leaves() for b in (halves if a == target else (a,))])
+
+    tree = d.dendrogram().cut(ZERO, split)
     return CantorPseudoUltrametric._from_tree(cells + halves, tree)
 
 
@@ -204,7 +183,8 @@ def _twin_gh(rng: random.Random, x: GHPoint) -> GHPoint:
     order = list(range(len(x.space)))
     rng.shuffle(order)
     names = {x.space.labels[old]: f"r{new}" for new, old in enumerate(order)}
-    tree = _regrow(x.space.dendrogram(), lambda label: (names[label],))
+    # a gh tree has no 0-node, so only its leaves reach the stub
+    tree = x.space.dendrogram().cut(ZERO, lambda leaf: Dendrogram(label=names[leaf.label]))
     return GHPoint(FiniteUltraSpace._from_tree([f"r{i}" for i in range(len(order))], tree))
 
 
@@ -571,18 +551,11 @@ SUITES: dict[str, tuple[PropertySpec, ...]] = {
 _MODEL_SALT = {"f": 11, "maps": 12, "cpum": 13, "gh": 14}
 
 
-def run_property(
-    model: str,
-    name: str,
-    cfg: TrialConfig,
-    trials: int | None = None,
-) -> tuple[bool, int, dict | None]:
+def run_property(model: str, name: str, cfg: TrialConfig) -> tuple[bool, int, dict | None]:
     """Run one named suite property; returns (passed, trials, counterexample with "trial")."""
-    if trials is not None and trials < 0:
-        raise ValueError("trials must be non-negative")
     for pidx, spec in enumerate(SUITES[model]):
         if spec.name == name or spec.tag == name:
-            n = trials if trials is not None else max(1, round(cfg.trials * spec.factor))
+            n = max(1, round(cfg.trials * spec.factor))
             rng = spawn_rng(cfg.seed, _MODEL_SALT[model], pidx)
             for t in range(n):
                 failure = spec.run(rng, t)

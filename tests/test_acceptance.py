@@ -30,7 +30,8 @@ def test_criterion_1_metric_axioms():
     start = time.perf_counter()
     failures = []
     for model, trials in plan:
-        ok, _, failure = run_property(model, "metric-axioms", cfg, trials=trials)
+        ok, n, failure = run_property(model, "metric-axioms", cfg)
+        assert n == trials
         if not ok:
             failures.append((model, failure))
     elapsed = time.perf_counter() - start
@@ -42,7 +43,8 @@ def test_criterion_1_metric_axioms():
 
 def test_criterion_2_max_disagreement_law():
     cfg = TrialConfig(seed=SEED, trials=10_000)
-    ok, trials, failure = run_property("f", "max-disagreement-law", cfg, trials=10_000)
+    ok, trials, failure = run_property("f", "max-disagreement-law", cfg)
+    assert trials == 10_000
     _verdict(2, "top-disagreement law, both directions", ok, f"{trials} pairs")
     assert ok, failure
 
@@ -62,7 +64,8 @@ def test_criterion_3_petaloid_axioms():
             "petal-distance-membership-P4",
             formula_line[model],
         ):
-            ok, _, failure = run_property(model, prop, cfg, trials=1_000)
+            ok, n, failure = run_property(model, prop, cfg)
+            assert n == 1_000
             if not ok:
                 failures.append((model, prop, failure))
     _verdict(3, "petaloid axioms P3/P4 + petal-distance formula, witness, optimality", not failures)
@@ -73,7 +76,8 @@ def test_criterion_4_trace_tail_agreement():
     cfg = TrialConfig(seed=SEED, trials=10_000)
     failures = []
     for model in ("f", "maps", "cpum", "gh"):
-        ok, _, failure = run_property(model, "trace-tail-agreement", cfg, trials=1_000)
+        ok, n, failure = run_property(model, "trace-tail-agreement", cfg)
+        assert n == 1_000
         if not ok:
             failures.append((model, failure))
     _verdict(4, "traces agree strictly above the distance", not failures)
@@ -84,7 +88,8 @@ def test_criterion_5_one_point_extension():
     cfg = TrialConfig(seed=SEED, trials=10_000)
     failures = []
     for model in ("f", "maps"):
-        ok, _, failure = run_property(model, "one-point-extension", cfg, trials=1_000)
+        ok, n, failure = run_property(model, "one-point-extension", cfg)
+        assert n == 1_000
         if not ok:
             failures.append((model, failure))
     _verdict(5, "one-point extension exactness, petal preservation, rejection", not failures)
@@ -93,7 +98,8 @@ def test_criterion_5_one_point_extension():
 
 def test_criterion_6_finite_embedding():
     cfg = TrialConfig(seed=SEED, trials=10_000)
-    ok, trials, failure = run_property("f", "finite-embedding", cfg, trials=1_000)
+    ok, trials, failure = run_property("f", "finite-embedding", cfg)
+    assert trials == 1_000
     _verdict(6, "finite spaces embed with exact matrices", ok, f"{trials} spaces <= 10 points")
     assert ok, failure
 
@@ -129,8 +135,9 @@ def test_criterion_7_back_and_forth_and_homogeneity():
 
 def test_criterion_8_oracle_gate():
     cfg = TrialConfig(seed=SEED, trials=10_000)
-    ok_oracle, pairs, failure = run_property("gh", "oracle-agreement", cfg, trials=500)
-    ok_quot, _, failure_q = run_property("gh", "quotient-contraction", cfg, trials=1_000)
+    ok_oracle, pairs, failure = run_property("gh", "oracle-agreement", cfg)
+    ok_quot, n, failure_q = run_property("gh", "quotient-contraction", cfg)
+    assert (pairs, n) == (500, 1_000)
     ok = ok_oracle and ok_quot
     _verdict(8, "quotient scan equals ambient oracle; quotients stay within eps", ok,
              f"exhaustive corpus + {pairs} random pairs")

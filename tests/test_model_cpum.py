@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from ultrapetal.cells import cell_owners, refinement
+from ultrapetal.cells import cell_owners, check_prefixes, refinement
 from ultrapetal.model_cpum import (
     CantorPseudoUltrametric,
     trace,
+    truncate,
     ud,
 )
 from ultrapetal.petal import CPUM
-from ultrapetal.petal_harness import gen_cpum, gen_range_set, spawn_rng
-from ultrapetal.scales import RangeSet, ZERO
-from ultrapetal.umspace import NotSymmetric, NotUltrametric, check_matrix
+from ultrapetal.petal_harness import POOL, gen_cpum, gen_range_set, spawn_rng
+from ultrapetal.scales import RangeSet, Scale, ZERO, scale_str
+from ultrapetal.umspace import NotSymmetric, NotUltrametric, SpaceError, check_matrix
 
 
 def brute_ud(d, e) -> Fraction:
@@ -69,6 +70,53 @@ def test_cells_are_sorted_with_matrix_permuted():
     assert d.cells == ("00", "01", "1")
     assert d.dist[0][1] == Fraction(1, 4)
     assert d.dist[0][2] == Fraction(1)
+
+
+def _ref_sorted(cells, dist):
+    # oracle: the validated rows permuted into sorted cell order, one lookup per entry
+    given = list(cells)
+    ordered = check_prefixes(given)
+    rows, _ = check_matrix(dist, given, allow_zero=True)
+    order = sorted(range(len(given)), key=lambda i: given[i])
+    return ordered, tuple(tuple(rows[a][b] for b in order) for a in order)
+
+
+def test_shuffled_input_matches_permutation_oracle():
+    rng = spawn_rng(63)
+    with_zeros = 0
+    for t in range(600):
+        d = gen_cpum(rng)
+        if t % 3 == 0:
+            d = truncate(d, POOL.elems[rng.randrange(len(POOL.elems))])
+        n = len(d.cells)
+        with_zeros += any(d.dist[i][j] == ZERO for i in range(n) for j in range(i + 1, n))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cells = [d.cells[p] for p in perm]
+        dist = [[d.dist[p][q] for q in perm] for p in perm]
+        if t % 2:
+            dist = [[scale_str(v) for v in row] for row in dist]
+        e = CantorPseudoUltrametric(cells, dist)
+        assert (e.cells, e.dist) == _ref_sorted(cells, dist) == (d.cells, d.dist)
+        assert all(type(v) is Scale for row in e.dist for v in row)
+    assert with_zeros > 100
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (["0", "2"], "binary string"),
+        (["0", "0"], "duplicate"),
+        (["0", "01", "1"], "is a prefix of"),
+        (["0"], "not the whole space"),
+        ([], "nonempty"),
+    ],
+)
+def test_prefix_error_comes_before_matrix_error(cells, message):
+    malformed = [["0", "1"], ["1/2", "x"]]
+    with pytest.raises(ValueError, match=message) as err:
+        CantorPseudoUltrametric(cells, malformed)
+    assert not isinstance(err.value, SpaceError)
 
 
 def test_ud_examples():

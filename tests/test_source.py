@@ -1,0 +1,69 @@
+"""Static checks on the package source, with the standard library only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ultrapetal"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module neither uses nor exports."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    exported: set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                imported[alias.asname or alias.name.split(".")[0]] = stmt.lineno
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            for alias in stmt.names:
+                imported[alias.asname or alias.name] = stmt.lineno
+        elif isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            exported.update(ast.literal_eval(stmt.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a quoted annotation such as "Dendrogram | None" names types too
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return [
+        f"line {line}: {name}"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from . import model_f as mf\n"
+        "from .umspace import Dendrogram, check_tree\n"
+        "from .scales import ZERO\n"
+        "def f(x: 'Dendrogram | None'):\n"
+        "    return os.path.join('check_tree')\n"
+        "__all__ = ['ZERO']\n"
+    )
+    assert unused_imports(source) == ["line 2: json", "line 4: mf", "line 5: check_tree"]

@@ -10,7 +10,7 @@ from ultrapetal.petal_harness import (
     gen_cpum,
     gen_range_set,
     gen_space,
-    random_ultrametric_rows,
+    random_ultrametric_tree,
     spawn_rng,
 )
 from ultrapetal.scales import RangeSet, Scale, ZERO, as_scale
@@ -271,12 +271,19 @@ def _shape(node):
     return (node.scale, node.label, tuple(_shape(c) for c in node.children))
 
 
+def _random_rows(rng, n, positives):
+    """The rows of ``random_ultrametric_tree`` over n points, as lists."""
+    labels = [str(i) for i in range(n)]
+    tree = random_ultrametric_tree(rng, labels, [as_scale(v) for v in positives])
+    return [list(row) for row in check_tree(labels, tree)]
+
+
 def _random_matrix(rng, allow_zero):
     """A random (pseudo-)ultrametric, with one pair perturbed half the time."""
     n = rng.randint(1, 9)
     pool = [Fraction(k, 4) for k in range(1, 9)]
     positives = sorted(rng.sample(pool, rng.randint(1, 4)))
-    rows = random_ultrametric_rows(rng, n, positives)
+    rows = _random_rows(rng, n, positives)
     if allow_zero and rng.random() < 0.5:
         cut = rng.choice(positives)
         rows = [[v if v > cut else ZERO for v in row] for row in rows]
@@ -440,7 +447,7 @@ def test_random_rows_match_recursive_builder():
         ref.randint(1, 12)
         positives = [Fraction(k, 8) for k in range(1, rng.randint(2, 9))]
         ref.randint(2, 9)
-        assert random_ultrametric_rows(rng, n, positives) == _ref_random_rows(ref, n, positives)
+        assert _random_rows(rng, n, positives) == _ref_random_rows(ref, n, positives)
         assert rng.random() == ref.random()
 
 
