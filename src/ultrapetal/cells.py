@@ -92,6 +92,7 @@ def align(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
     current cells share their left endpoint, so one is a prefix of the
     other: the longer one is the refined cell and advances, and the
     shorter one advances once the next key no longer extends it.
+    ``model_maps.nabla`` runs the same merge inline.
     """
     oa: list[int] = []
     ob: list[int] = []

@@ -1,7 +1,7 @@
 """Command-line front end: every operation on JSON files.
 
-Exit codes: 0 success, 1 parse or validation failure, 2 inconsistent
-extension request.
+Exit codes: 0 success, 1 parse or validation failure or a FAIL line in a
+``backforth`` or ``harness`` report, 2 inconsistent extension request.
 """
 
 from __future__ import annotations
@@ -165,18 +165,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(_load_space(args.space).canonical_form())
         return 0
 
-    if args.command == "backforth":
+    if args.command in ("backforth", "harness"):
         seed = args.seed if args.seed is not None else _default_seed()
         cfg = petal_harness.TrialConfig(seed=seed, trials=args.trials)
-        sys.stdout.write(petal_harness.backforth_report(cfg))
-        return 0
-
-    if args.command == "harness":
-        seed = args.seed if args.seed is not None else _default_seed()
-        cfg = petal_harness.TrialConfig(seed=seed, trials=args.trials)
-        report = petal_harness.run_axiom_suite(args.model, cfg, dump_dir=args.dump_dir)
+        if args.command == "backforth":
+            report = petal_harness.backforth_report(cfg)
+        else:
+            report = petal_harness.run_axiom_suite(args.model, cfg, dump_dir=args.dump_dir)
         sys.stdout.write(report)
-        return 0 if " FAIL " not in report else 1
+        return 1 if " FAIL " in report else 0
 
     raise AssertionError(f"unhandled command {args.command}")
 

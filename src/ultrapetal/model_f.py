@@ -69,20 +69,19 @@ class SupportMap:
 
 
 def delta(f: SupportMap, g: SupportMap) -> Fraction:
-    """Largest key where the two maps disagree; 0 when they are equal."""
-    if f.entries == g.entries:
-        return ZERO
+    """Largest key where the two maps disagree; 0 when they are equal.
+
+    Keys descend, so the first position where the entries differ decides:
+    the larger of its two keys is missing from the other map, or the keys
+    are equal and only the values differ.  When one map's entries are a
+    prefix of the other's, the first key left over is the answer.
+    """
     a, b = f.entries, g.entries
-    i = j = 0
-    while i < len(a) or j < len(b):
-        if j >= len(b) or (i < len(a) and a[i][0] > b[j][0]):
-            return a[i][0]
-        if i >= len(a) or b[j][0] > a[i][0]:
-            return b[j][0]
-        if a[i][1] != b[j][1]:
-            return a[i][0]
-        i += 1
-        j += 1
+    for p, q in zip(a, b):
+        if p != q:
+            return p[0] if p[0] > q[0] else q[0]
+    if len(a) != len(b):
+        return a[len(b)][0] if len(a) > len(b) else b[len(a)][0]
     return ZERO
 
 

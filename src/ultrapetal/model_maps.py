@@ -12,7 +12,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cells import align, check_prefixes, merge_equal_siblings
+from .cells import check_prefixes, merge_equal_siblings
 from .extension import Inconsistent, extend
 from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
 
@@ -86,20 +86,34 @@ def nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
     This closed form equals the least bound epsilon with
     f <= g v epsilon and g <= f v epsilon everywhere: at a disagreement
     point the larger value forces epsilon at least that high.
+
+    The two sorted partitions are merged in one pass, as in
+    ``cells.align``, comparing each refined cell's two values on the way.
     """
-    fv, gv = f.values, g.values
-    if f.keys == g.keys:
-        pairs = zip(fv, gv)
-    else:
-        of, og = align(f.keys, g.keys)
-        pairs = zip(map(fv.__getitem__, of), map(gv.__getitem__, og))
+    fk, fv, gk, gv = f.keys, f.values, g.keys, g.values
+    nf, ng = len(fk), len(gk)
     worst = ZERO
-    for a, b in pairs:
-        # values are mostly shared objects; skip the comparison call for those
-        if a is not b and a != b:
-            hi = a if a > b else b
-            if hi > worst:
+    i = j = 0
+    while i < nf:
+        x, y = fv[i], gv[j]
+        # values are mostly shared objects, and a cell whose larger value
+        # cannot raise the maximum needs no equality test
+        if x is not y:
+            hi = x if x > y else y
+            if hi > worst and x != y:
                 worst = hi
+        a, b = fk[i], gk[j]
+        if a == b:
+            i += 1
+            j += 1
+        elif a < b:  # a proper prefix sorts first
+            j += 1
+            if j == ng or not gk[j].startswith(a):
+                i += 1
+        else:
+            i += 1
+            if i == nf or not fk[i].startswith(b):
+                j += 1
     return worst
 
 

@@ -613,13 +613,21 @@ class PartialIsometry:
     def __len__(self) -> int:
         return len(self.left)
 
-    def append_checked(self, x, y, step: int) -> None:
-        """Add a pair after verifying it against every existing pair."""
-        for i in range(len(self.left)):
-            if self.left_metric(x, self.left[i]) != self.right_metric(y, self.right[i]):
-                raise InvariantViolation(step, (i, len(self.left)))
-        self.left.append(x)
-        self.right.append(y)
+    def append_checked(self, x, y, step: int, dists: Sequence) -> None:
+        """Add the pair (x, y) after checking it against every existing pair.
+
+        ``dists`` are x's distances to the left points, already computed
+        by the caller; y must lie at exactly those distances from the
+        right points.
+        """
+        left, right, metric = self.left, self.right, self.right_metric
+        if len(dists) != len(left):
+            raise ValueError(f"{len(dists)} distances for {len(left)} pairs")
+        for i, d in enumerate(dists):
+            if metric(y, right[i]) != d:
+                raise InvariantViolation(step, (i, len(left)))
+        left.append(x)
+        right.append(y)
 
     def verify(self) -> None:
         for i in range(len(self.left)):
@@ -630,23 +638,25 @@ class PartialIsometry:
                     raise InvariantViolation(-1, (i, j))
 
 
+def _mirror_fresh_point(pairing: PartialIsometry, gen: Callable, extend: Callable, rng, step: int) -> None:
+    """Draw a left point and add it with its image, a one-point extension at its distances."""
+    x = gen(rng)
+    dists = [pairing.left_metric(x, p) for p in pairing.left]
+    pairing.append_checked(x, extend(pairing.right, dists), step, dists)
+
+
 def _extend_both_ways(pairing: PartialIsometry, left: _Sampler, right: _Sampler, rng, rounds: int) -> None:
     """``rounds`` rounds, each mirroring a fresh point one way, then the other.
 
     A fresh left point is mirrored to the right through a one-point
     extension at its exact distances, then a fresh right point is
-    mirrored back; every addition is re-verified against the whole
-    pairing.
+    mirrored back through a swapped view sharing the pairing's lists;
+    every image is re-verified against the whole pairing.
     """
-    left_gen, left_metric, left_extend = left.gen, left.model.metric, left.model.extend
-    right_gen, right_metric, right_extend = right.gen, right.model.metric, right.model.extend
+    swapped = PartialIsometry(pairing.right, pairing.left, pairing.right_metric, pairing.left_metric)
     for k in range(rounds):
-        x = left_gen(rng)
-        y = right_extend(pairing.right, [left_metric(x, l) for l in pairing.left])
-        pairing.append_checked(x, y, step=2 * k)
-        g = right_gen(rng)
-        f = left_extend(pairing.left, [right_metric(g, r) for r in pairing.right])
-        pairing.append_checked(f, g, step=2 * k + 1)
+        _mirror_fresh_point(pairing, left.gen, right.model.extend, rng, 2 * k)
+        _mirror_fresh_point(swapped, right.gen, left.model.extend, rng, 2 * k + 1)
 
 
 def back_and_forth(cfg: TrialConfig) -> PartialIsometry:

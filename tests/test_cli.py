@@ -229,6 +229,16 @@ def test_harness_failure_exit_code_and_dump(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "f_always_fails.json").exists()
 
 
+def test_backforth_failure_exit_code(capsys, monkeypatch):
+    def broken(cfg):
+        raise petal_harness.InvariantViolation(3, (0, 2))
+
+    monkeypatch.setattr(petal_harness, "back_and_forth", broken)
+    assert main(["backforth", "--seed", "1", "--trials", "5"]) == 1
+    out = capsys.readouterr().out
+    assert " FAIL " in out and "step=3 pair=(0, 2)" in out
+
+
 def test_umu_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("UMU_SEED", "77")
     assert main(["backforth", "--trials", "2"]) == 0

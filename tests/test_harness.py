@@ -19,6 +19,7 @@ from ultrapetal.petal_harness import (
     TrialConfig,
     _check_approximate,
     _check_covering,
+    _extend_both_ways,
     _twin_cpum,
     _twin_gh,
     back_and_forth,
@@ -85,10 +86,37 @@ def test_partial_isometry_detects_bad_pair():
     pairing = PartialIsometry([], [], model_f.delta, model_f.delta)
     a = model_f.SupportMap()
     b = model_f.SupportMap({"1": 1})
-    pairing.append_checked(a, a, step=0)
+    pairing.append_checked(a, a, 0, [])
     with pytest.raises(InvariantViolation) as err:
-        pairing.append_checked(b, a, step=1)  # left moves, right does not
+        pairing.append_checked(b, a, 1, [model_f.delta(b, a)])  # left moves, right does not
     assert err.value.step == 1
+    with pytest.raises(ValueError):
+        pairing.append_checked(b, b, 2, [])  # one distance per existing pair
+
+
+def _ignores_targets(sampler):
+    # the origin is returned unchecked, so extend's own verify_extension never runs
+    origin = sampler.model.extend([], [])
+    model = dataclasses.replace(sampler.model, extend=lambda anchors, targets: origin)
+    return dataclasses.replace(sampler, model=model)
+
+
+@pytest.mark.parametrize("bad_side, parity", [("right", 0), ("left", 1)])
+def test_bad_extension_caught_on_each_half_step(bad_side, parity):
+    left, right = _F, _MAPS
+    if bad_side == "right":
+        right = _ignores_targets(right)
+    else:
+        left = _ignores_targets(left)
+    steps = set()
+    for seed in range(5):
+        pairing = PartialIsometry([], [], model_f.delta, model_maps.nabla)
+        with pytest.raises(InvariantViolation) as err:
+            _extend_both_ways(pairing, left, right, spawn_rng(seed, 1), rounds=10)
+        steps.add(err.value.step % 2)
+        assert err.value.pair[1] == len(pairing)  # the rejected pair was not added
+        pairing.verify()
+    assert steps == {parity}
 
 
 def test_ultrahomogeneity_demo_sizes():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from ultrapetal.model_f import (
     trace,
 )
 from ultrapetal.petal import F
-from ultrapetal.petal_harness import POOL, gen_space, gen_support_map, spawn_rng
+from ultrapetal.petal_harness import POOL, TrialConfig, back_and_forth, gen_space, gen_support_map, spawn_rng
 from ultrapetal.scales import RangeSet, ZERO
 from ultrapetal.umspace import FiniteUltraSpace
 
@@ -54,6 +55,51 @@ def test_delta_agrees_with_brute_force():
         f = gen_support_map(rng)
         g = gen_support_map(rng)
         assert delta(f, g) == brute_delta(f, g)
+
+
+def merged_delta(f: SupportMap, g: SupportMap) -> Fraction:
+    # oracle: the two-index merge over the descending entries
+    if f.entries == g.entries:
+        return ZERO
+    a, b = f.entries, g.entries
+    i = j = 0
+    while i < len(a) or j < len(b):
+        if j >= len(b) or (i < len(a) and a[i][0] > b[j][0]):
+            return a[i][0]
+        if i >= len(a) or b[j][0] > a[i][0]:
+            return b[j][0]
+        if a[i][1] != b[j][1]:
+            return a[i][0]
+        i += 1
+        j += 1
+    return ZERO
+
+
+def test_delta_matches_merge_oracle():
+    rng = spawn_rng(43)
+    generated = [gen_support_map(rng) for _ in range(60)]
+    pairing = back_and_forth(TrialConfig(seed=4, trials=25))
+    grown = pairing.left
+    maps = generated + grown
+    # same keys with one value changed, every proper prefix of the entries,
+    # and equal maps built from other objects
+    revalued = [
+        SupportMap(f.entries[:k] + ((f.entries[k][0], f.entries[k][1] + 1),) + f.entries[k + 1:])
+        for f in maps for k in range(len(f.entries))
+    ]
+    prefixes = [SupportMap(f.entries[:k]) for f in maps for k in range(len(f.entries))]
+    copies = [SupportMap.from_json(json.loads(json.dumps(f.to_json()))) for f in maps]
+    assert any(len(f.entries) > 2 for f in grown)
+    for f in maps:
+        for g in maps:
+            assert delta(f, g) == merged_delta(f, g)
+    for f, g in zip(maps, copies):
+        assert delta(f, g) == merged_delta(f, g) == ZERO
+    for others in (revalued, prefixes):
+        for g in others:
+            for f in maps:
+                assert delta(f, g) == merged_delta(f, g)
+                assert delta(g, f) == merged_delta(g, f)
 
 
 def test_trace_examples():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -241,6 +242,14 @@ def test_nabla_and_place_match_refinement_oracles():
         for f in pool:
             for g in pool:
                 assert nabla(f, g) == refined_nabla(f, g)
+    # parsed copies hold equal values in other objects; halved copies keep
+    # the cells and change every nonzero value
+    parsed = [CantorFunction.from_json(json.loads(json.dumps(f.to_json()))) for f in grown]
+    halved = [CantorFunction((k, v / 2) for k, v in f.cells) for f in grown]
+    for f in grown:
+        for g in parsed + halved:
+            assert nabla(f, g) == refined_nabla(f, g)
+            assert nabla(g, f) == refined_nabla(g, f)
     for _ in range(3000):
         pool = rng.choice(pools)
         anchors = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
