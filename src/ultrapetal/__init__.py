@@ -6,16 +6,14 @@ extension, plus a finite-ultrametric-space toolkit and a randomised
 axiom harness.
 """
 
-from .scales import RangeSet, ZERO, as_scale, max_outside, nearly_discrete_metric, scale_str
+from .scales import RangeSet, ZERO, as_scale, max_outside
 from .umspace import (
     Dendrogram,
-    EmptySubset,
     FiniteUltraSpace,
     NotPositive,
     NotSymmetric,
     NotUltrametric,
     SpaceError,
-    validate,
 )
 from .extension import Inconsistent
 from .model_f import SupportMap, delta, embed_space
@@ -37,17 +35,13 @@ __all__ = [
     "RangeSet",
     "ZERO",
     "as_scale",
-    "scale_str",
     "max_outside",
-    "nearly_discrete_metric",
     "Dendrogram",
     "FiniteUltraSpace",
-    "validate",
     "SpaceError",
     "NotPositive",
     "NotSymmetric",
     "NotUltrametric",
-    "EmptySubset",
     "Inconsistent",
     "SupportMap",
     "delta",

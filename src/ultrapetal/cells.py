@@ -8,7 +8,7 @@ of them.  The empty string is the one-cell partition.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 V = TypeVar("V")
 
@@ -47,26 +47,26 @@ def check_prefixes(prefixes: Iterable[str]) -> tuple[str, ...]:
     return tuple(keys)
 
 
-def merge_equal_siblings(values: dict[str, V]) -> dict[str, V]:
+def merge_equal_siblings(keys: Sequence[str], values: Mapping[str, V]) -> tuple[tuple[str, ...], tuple[V, ...]]:
     """Coarsest partition representing the same cell-wise assignment.
 
     Replaces sibling cells carrying equal values by their parent, up the
     tree as far as the values stay equal; the normal form is unique.
-    The same fold as ``check_prefixes``, on the sorted keys of a
-    prefix-free set, folding only equal-valued siblings.  Keys come out
-    sorted.
+    The same fold as ``check_prefixes``, on the keys it returns (sorted,
+    complete, prefix-free), folding only equal-valued siblings.  Returns
+    the merged keys, still sorted, and their values.
     """
-    keys: list[str] = []
+    merged: list[str] = []
     held: list[V] = []
-    for key in sorted(values):
+    for key in keys:
         value = values[key]
-        while keys and key.endswith("1") and held[-1] == value and keys[-1] == key[:-1] + "0":
-            keys.pop()
+        while merged and key.endswith("1") and held[-1] == value and merged[-1] == key[:-1] + "0":
+            merged.pop()
             held.pop()
             key = key[:-1]
-        keys.append(key)
+        merged.append(key)
         held.append(value)
-    return dict(zip(keys, held))
+    return tuple(merged), tuple(held)
 
 
 def refinement(keysets: Iterable[Sequence[str]]) -> list[str]:

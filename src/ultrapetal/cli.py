@@ -16,7 +16,7 @@ from . import model_f, model_gh, petal_harness
 from .extension import Inconsistent
 from .model_gh import GHPoint
 from .petal import MODELS
-from .scales import RangeSet, as_scale, scale_str
+from .scales import RangeSet, as_scale
 from .umspace import FiniteUltraSpace, NotPositive, NotSymmetric, NotUltrametric
 
 
@@ -122,14 +122,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "dist":
         model = MODELS[args.model]
         a, b = (model.from_json(_read_json(path)) for path in (args.a, args.b))
-        print(scale_str(model.metric(a, b)))
+        print(model.metric(a, b))
         return 0
 
     if args.command == "petal-dist":
         model = MODELS[args.model]
         element = model.from_json(_read_json(args.element))
         value, witness = model.petal_distance(element, _parse_range(args.range_set))
-        print(scale_str(value))
+        print(value)
         if args.witness:
             Path(args.witness).write_text(json.dumps(witness.to_json(), indent=2) + "\n")
         return 0
@@ -153,7 +153,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         x = GHPoint(_load_space(args.x))
         y = GHPoint(_load_space(args.y))
         value = model_gh.na_oracle(x, y) if args.oracle else model_gh.na_distance(x, y)
-        print(scale_str(value))
+        print(value)
         return 0
 
     if args.command == "quotient":
@@ -185,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     except Inconsistent as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

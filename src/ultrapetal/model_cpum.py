@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cells import align, check_prefixes
-from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
+from .scales import RangeSet, ScaleLike, ZERO, as_scale
 from .umspace import Dendrogram, check_matrix, check_tree
 
 
@@ -51,14 +51,10 @@ class CantorPseudoUltrametric:
     def __repr__(self) -> str:
         return f"CantorPseudoUltrametric({len(self.cells)} cells)"
 
-    def spectrum(self) -> RangeSet:
-        """{0} together with every matrix entry: the dendrogram's scales."""
-        return RangeSet(self._tree.scales())
-
     def to_json(self) -> dict:
         return {
             "cells": list(self.cells),
-            "dist": [[scale_str(v) for v in row] for row in self.dist],
+            "dist": [[str(v) for v in row] for row in self.dist],
         }
 
     @classmethod
@@ -94,7 +90,8 @@ def ud(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> Fraction:
 
 
 def trace(d: CantorPseudoUltrametric) -> RangeSet:
-    return d.spectrum()
+    """{0} together with every matrix entry: the dendrogram's scales."""
+    return RangeSet(d.dendrogram().scales())
 
 
 def zero_node(leaves: Sequence[Dendrogram]) -> Dendrogram:

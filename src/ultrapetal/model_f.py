@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .extension import Inconsistent, embed, extend
-from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
+from .extension import embed, extend
+from .scales import RangeSet, ScaleLike, ZERO, as_scale
 from .umspace import FiniteUltraSpace
 
 
@@ -56,7 +56,7 @@ class SupportMap:
         return "SupportMap({%s})" % inner
 
     def to_json(self) -> dict:
-        return {"support": [[scale_str(k), v] for k, v in self.entries]}
+        return {"support": [[str(k), v] for k, v in self.entries]}
 
     @classmethod
     def from_json(cls, data: object) -> "SupportMap":
@@ -136,5 +136,4 @@ __all__ = [
     "truncate",
     "one_point_extension",
     "embed_space",
-    "Inconsistent",
 ]

@@ -35,9 +35,6 @@ class GHPoint:
     def canonical_form(self) -> str:
         return self.space.canonical_form()
 
-    def spectrum(self) -> RangeSet:
-        return self.space.spectrum()
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GHPoint) and self.canonical_form() == other.canonical_form()
 
@@ -96,8 +93,8 @@ def na_oracle(
     dy = y.space.dist
     grid = sorted(
         {ZERO}
-        | set(x.spectrum().elems)
-        | set(y.spectrum().elems)
+        | set(trace(x).elems)
+        | set(trace(y).elems)
         | {as_scale(v) for v in extra_scales}
     )
     total = nx * ny
@@ -172,7 +169,7 @@ def na_oracle(
 
 def trace(x: GHPoint) -> RangeSet:
     """The trace of a class is its distance spectrum."""
-    return x.spectrum()
+    return x.space.spectrum()
 
 
 def truncate(x: GHPoint, u: Fraction) -> GHPoint:

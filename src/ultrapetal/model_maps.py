@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .cells import check_prefixes, merge_equal_siblings
-from .extension import Inconsistent, extend
-from .scales import RangeSet, ScaleLike, ZERO, as_scale, scale_str
+from .extension import extend
+from .scales import RangeSet, ScaleLike, ZERO, as_scale
 
 
 class CantorFunction:
@@ -37,20 +37,15 @@ class CantorFunction:
             if key in table:
                 raise ValueError(f"duplicate cell prefix {key!r}")
             table[key] = as_scale(value)
-        check_prefixes(table.keys())
+        keys = check_prefixes(table.keys())
         if ZERO not in table.values():
             raise ValueError("the image must contain 0")
-        merged = merge_equal_siblings(table)  # keys come out sorted
-        self.keys: tuple[str, ...] = tuple(merged)
-        self.values: tuple[Fraction, ...] = tuple(merged.values())
+        self.keys, self.values = merge_equal_siblings(keys, table)
 
     @property
     def cells(self) -> tuple[tuple[str, Fraction], ...]:
         """The (prefix, value) pairs in prefix order, as written to JSON."""
         return tuple(zip(self.keys, self.values))
-
-    def prefixes(self) -> tuple[str, ...]:
-        return self.keys
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CantorFunction) and self.keys == other.keys and self.values == other.values
@@ -63,7 +58,7 @@ class CantorFunction:
         return "CantorFunction({%s})" % inner
 
     def to_json(self) -> dict:
-        return {"cells": [[k, scale_str(v)] for k, v in self.cells]}
+        return {"cells": [[k, str(v)] for k, v in self.cells]}
 
     @classmethod
     def from_json(cls, data: object) -> "CantorFunction":
@@ -181,5 +176,4 @@ __all__ = [
     "trace",
     "truncate",
     "one_point_extension",
-    "Inconsistent",
 ]

@@ -593,7 +593,7 @@ def run_axiom_suite(model: str, cfg: TrialConfig, dump_dir: str | None = None) -
 
 
 class InvariantViolation(Exception):
-    """The paired lists stopped being isometric; an extension operator is wrong."""
+    """An extension operator is wrong: it broke the isometry or rejected real distances."""
 
     def __init__(self, step: int, pair: tuple[int, int]):
         self.step = step
@@ -639,10 +639,19 @@ class PartialIsometry:
 
 
 def _mirror_fresh_point(pairing: PartialIsometry, gen: Callable, extend: Callable, rng, step: int) -> None:
-    """Draw a left point and add it with its image, a one-point extension at its distances."""
+    """Draw a left point and add it with its image, a one-point extension at its distances.
+
+    The distances are those of a real point, so they are always
+    consistent: an extension that rejects them is broken, and its
+    Inconsistent becomes an InvariantViolation at this step.
+    """
     x = gen(rng)
     dists = [pairing.left_metric(x, p) for p in pairing.left]
-    pairing.append_checked(x, extend(pairing.right, dists), step, dists)
+    try:
+        y = extend(pairing.right, dists)
+    except Inconsistent as err:
+        raise InvariantViolation(step, err.indices) from err
+    pairing.append_checked(x, y, step, dists)
 
 
 def _extend_both_ways(pairing: PartialIsometry, left: _Sampler, right: _Sampler, rng, rounds: int) -> None:

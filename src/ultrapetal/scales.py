@@ -115,25 +115,6 @@ def as_scale(value: ScaleLike) -> Scale:
     return x
 
 
-def scale_str(value: Fraction) -> str:
-    """Render a scale as ``p/q`` in lowest terms, or plain ``p`` when q == 1."""
-    return str(value)
-
-
-def nearly_discrete_metric(x: ScaleLike, y: ScaleLike) -> Fraction:
-    """Distance between two scales: ``max(x, y)`` when they differ, else 0.
-
-    This is an ultrametric on the non-negative rationals; its topology
-    makes every map with finitely many values locally constant away
-    from 0.
-    """
-    a = as_scale(x)
-    b = as_scale(y)
-    if a == b:
-        return ZERO
-    return a if a > b else b
-
-
 class RangeSet:
     """Finite ascending set of scales; 0 is always a member.
 
@@ -185,7 +166,7 @@ class RangeSet:
         return all(e in other for e in self.elems if e > bound)
 
     def to_json(self) -> list[str]:
-        return [scale_str(e) for e in self.elems]
+        return [str(e) for e in self.elems]
 
     @classmethod
     def from_json(cls, data: object) -> "RangeSet":

@@ -1,9 +1,8 @@
 """Finite ultrametric spaces as immutable values.
 
 Provides validation against the strong triangle inequality, distance
-spectra, closed-ball quotients, the dendrogram form, a canonical string
-deciding isometry, and Hausdorff distance between subsets of one ambient
-space.
+spectra, closed-ball quotients, the dendrogram form and a canonical
+string deciding isometry.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .scales import RangeSet, Scale, ScaleLike, ZERO, as_scale, scale_str
+from .scales import RangeSet, Scale, ScaleLike, ZERO, as_scale
 
 
 class SpaceError(ValueError):
@@ -34,10 +33,6 @@ class NotUltrametric(SpaceError):
     def __init__(self, i: int, j: int, k: int, message: str):
         super().__init__(message)
         self.indices = (i, j, k)
-
-
-class EmptySubset(ValueError):
-    """Hausdorff distance needs nonempty subsets."""
 
 
 def check_matrix(
@@ -267,10 +262,6 @@ class Dendrogram:
             made[node] = Dendrogram(node.scale, None, tuple(made.pop(child) for child in node.children))
         return made[self]
 
-    def to_space(self) -> "FiniteUltraSpace":
-        """The space whose dendrogram this is, its points in sorted order."""
-        return FiniteUltraSpace._from_tree(sorted(self.leaves()), self)
-
 
 class FiniteUltraSpace:
     """A labelled finite set with an exact ultrametric distance matrix.
@@ -348,30 +339,10 @@ class FiniteUltraSpace:
         """Canonical string: equal for two spaces iff they are isometric."""
         return self.dendrogram().encode()
 
-    def hausdorff(self, a_labels: Iterable[str], b_labels: Iterable[str]) -> Fraction:
-        """Hausdorff distance between two nonempty subsets of this space."""
-        a = [self._index[lab] for lab in a_labels]
-        b = [self._index[lab] for lab in b_labels]
-        if not a or not b:
-            raise EmptySubset("hausdorff needs nonempty subsets")
-
-        def directed(src: list[int], dst: list[int]) -> Fraction:
-            worst = ZERO
-            for p in src:
-                row = self.dist[p]
-                near = min(row[q] for q in dst)
-                if near > worst:
-                    worst = near
-            return worst
-
-        left = directed(a, b)
-        right = directed(b, a)
-        return left if left > right else right
-
     def to_json(self) -> dict:
         return {
             "points": list(self.labels),
-            "dist": [[scale_str(v) for v in row] for row in self.dist],
+            "dist": [[str(v) for v in row] for row in self.dist],
         }
 
     @classmethod
@@ -381,10 +352,3 @@ class FiniteUltraSpace:
         if not isinstance(data["points"], list):
             raise ValueError("points must be a JSON array of labels")
         return cls(data["points"], data["dist"])
-
-
-def validate(
-    labels: Iterable[str], dist: Sequence[Sequence[ScaleLike]]
-) -> FiniteUltraSpace:
-    """Validate a candidate matrix, raising a SpaceError on any violation."""
-    return FiniteUltraSpace(labels, dist)

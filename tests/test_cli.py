@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from ultrapetal import petal_harness
 from ultrapetal.cli import main
+from ultrapetal.extension import Inconsistent
 from ultrapetal.model_cpum import ud
-from ultrapetal.petal import MODELS
+from ultrapetal.petal import MAPS, MODELS
 from ultrapetal.scales import as_scale
 from ultrapetal.model_f import SupportMap, delta
 from ultrapetal.model_maps import CantorFunction
@@ -239,6 +241,22 @@ def test_backforth_failure_exit_code(capsys, monkeypatch):
     assert " FAIL " in out and "step=3 pair=(0, 2)" in out
 
 
+def test_backforth_rejected_extension_is_a_fail_line(capsys, monkeypatch):
+    # an extension rejecting the distances of a real point is a broken
+    # operator: a FAIL line naming the step, not an "inconsistent request"
+    def rejecting(anchors, targets):
+        if len(anchors) >= 2:
+            raise Inconsistent(0, 1)
+        return MAPS.extend(anchors, targets)
+
+    broken = dataclasses.replace(petal_harness._MAPS, model=dataclasses.replace(MAPS, extend=rejecting))
+    monkeypatch.setattr(petal_harness, "_MAPS", broken)
+    assert main(["backforth", "--seed", "1", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert " FAIL " in captured.out and "step=2 pair=(0, 1)" in captured.out
+    assert captured.err == ""
+
+
 def test_umu_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("UMU_SEED", "77")
     assert main(["backforth", "--trials", "2"]) == 0
@@ -268,12 +286,12 @@ def test_emitted_files_reparse_to_equal_values(tmp_path, capsys):
         "--range", '["0","1"]', "--witness", str(cpum_witness),
     ]) == 0
     assert capsys.readouterr().out == "1/3\n"
-    from ultrapetal.model_cpum import CantorPseudoUltrametric, ud
+    from ultrapetal.model_cpum import CantorPseudoUltrametric, trace, ud
 
     reparsed = CantorPseudoUltrametric.from_json(json.loads(cpum_witness.read_text()))
     original = CantorPseudoUltrametric.from_json(json.loads(Path(pseudo).read_text()))
     assert ud(original, reparsed) == as_scale("1/3")
-    assert reparsed.spectrum().to_json() == ["0", "1"]
+    assert trace(reparsed).to_json() == ["0", "1"]
 
 
 SAMPLERS = {"f": petal_harness._F, "maps": petal_harness._MAPS,

@@ -35,7 +35,7 @@ from ultrapetal.petal_harness import (
     ultrahomogeneity_demo,
 )
 from ultrapetal.scales import ZERO
-from ultrapetal.umspace import validate
+from ultrapetal.umspace import FiniteUltraSpace
 
 
 def test_config_validation():
@@ -58,7 +58,7 @@ def test_generated_elements_satisfy_model_invariants():
     rng = spawn_rng(11)
     for _ in range(50):
         space = gen_space(rng)
-        validate(space.labels, space.dist)  # construction invariant
+        FiniteUltraSpace(space.labels, space.dist)  # construction invariant
         fun = gen_cantor_function(rng)
         assert ZERO in dict(fun.cells).values()
         gen_support_map(rng)
@@ -187,6 +187,29 @@ def test_models_registry_complete():
     assert set(SUITES) == {"f", "maps", "cpum", "gh"}
 
 
+def truncation_distance(model, equal, x, y):
+    # the one distance definition: the least u in {0} u trace(x) u trace(y)
+    # at which the two truncations are the same element
+    candidates = sorted(set(model.trace(x)) | set(model.trace(y)))
+    return next(u for u in candidates if equal(model.truncate(x, u), model.truncate(y, u)))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_metric_is_least_agreeing_truncation(name):
+    # an oracle sharing no code with delta, nabla, ud or na_distance;
+    # y is a fresh draw, a twin of x, or a truncation of either
+    model = MODELS[name]
+    sampler = {"f": _F, "maps": _MAPS, "cpum": _CPUM, "gh": _GH}[name]
+    rng = spawn_rng(20240811, 11)
+    for t in range(300):
+        x = sampler.gen(rng)
+        y = sampler.twin(rng, x) if t % 2 else sampler.gen(rng)
+        if t % 3 == 2:
+            y = model.truncate(y, POOL.elems[rng.randrange(len(POOL))])
+        # sampler.equal is _cpum_same for cpum and == for the other models
+        assert model.metric(x, y) == truncation_distance(model, sampler.equal, x, y)
+
+
 def _first_failure(check, sampler, rng, n):
     for t in range(n):
         failure = check(sampler, rng, t)
@@ -250,7 +273,8 @@ def test_pinned_generator_bytes():
         for space in (gen_space(rng), gen_space(rng, max_points=8, pool=gen_range_set(rng))):
             x = GHPoint(space)
             record.append(space.to_json())
-            record.append(space.dendrogram().to_space().to_json())
+            tree = space.dendrogram()
+            record.append(FiniteUltraSpace._from_tree(sorted(tree.leaves()), tree).to_json())
             record.append(_twin_gh(rng, x).to_json())
             record.extend(model_gh.truncate(x, u).to_json() for u in POOL)
         for d in (gen_cpum(rng), gen_cpum(rng, pool=gen_range_set(rng))):

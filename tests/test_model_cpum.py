@@ -11,7 +11,7 @@ from ultrapetal.model_cpum import (
 )
 from ultrapetal.petal import CPUM
 from ultrapetal.petal_harness import POOL, gen_cpum, gen_range_set, spawn_rng
-from ultrapetal.scales import RangeSet, Scale, ZERO, scale_str
+from ultrapetal.scales import RangeSet, Scale, ZERO
 from ultrapetal.umspace import NotSymmetric, NotUltrametric, SpaceError, check_matrix
 
 
@@ -95,7 +95,7 @@ def test_shuffled_input_matches_permutation_oracle():
         cells = [d.cells[p] for p in perm]
         dist = [[d.dist[p][q] for q in perm] for p in perm]
         if t % 2:
-            dist = [[scale_str(v) for v in row] for row in dist]
+            dist = [[str(v) for v in row] for row in dist]
         e = CantorPseudoUltrametric(cells, dist)
         assert (e.cells, e.dist) == _ref_sorted(cells, dist) == (d.cells, d.dist)
         assert all(type(v) is Scale for row in e.dist for v in row)
@@ -149,13 +149,13 @@ def test_ud_across_partitions_and_brute_force():
 
 def test_spectrum_examples():
     allzero = CantorPseudoUltrametric([""], [["0"]])
-    assert allzero.spectrum().to_json() == ["0"]
+    assert trace(allzero).to_json() == ["0"]
     d = CantorPseudoUltrametric(
         ["00", "01", "1"],
         [["0", "1/3", "1"], ["1/3", "0", "1"], ["1", "1", "0"]],
     )
-    assert d.spectrum().to_json() == ["0", "1/3", "1"]
-    assert trace(d) == d.spectrum()
+    assert trace(d).to_json() == ["0", "1/3", "1"]
+    assert trace(d) == RangeSet(v for row in d.dist for v in row)
 
 
 def test_petal_distance_truncation_witness():
@@ -189,7 +189,7 @@ def test_approximate_and_covering():
     )
     widened, e = CPUM.approximate_into_petal(d, RangeSet(), "1/2")
     assert widened.to_json() == ["0"]
-    assert e.spectrum().to_json() == ["0"]
+    assert trace(e).to_json() == ["0"]
     assert ud(d, e) == Fraction(1, 8) < Fraction(1, 2)
     assert CPUM.covering_petal([d]).to_json() == ["0", "1/8"]
     assert CPUM.covering_petal([]).to_json() == ["0"]

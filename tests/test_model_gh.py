@@ -81,7 +81,7 @@ def reference_infimum(x, y):
     from ultrapetal.scales import ZERO as Z
 
     nx, ny = len(x.space), len(y.space)
-    grid = sorted({Z} | set(x.spectrum().elems) | set(y.spectrum().elems))
+    grid = sorted({Z} | set(x.space.spectrum().elems) | set(y.space.spectrum().elems))
     dx, dy = x.space.dist, y.space.dist
     best = None
     for combo in itertools.product(grid, repeat=nx * ny):
@@ -167,18 +167,18 @@ def test_quotient_contraction():
     rng = spawn_rng(73)
     for _ in range(100):
         x = GHPoint(gen_space(rng))
-        pool = sorted(set(POOL.elems) | set(x.spectrum().elems))
+        pool = sorted(set(POOL.elems) | set(x.space.spectrum().elems))
         eps = pool[rng.randrange(len(pool))]
         q = GHPoint(x.space.quotient(eps))
         value = na_distance(x, q)
         assert value <= eps
-        if eps != ZERO and eps in x.spectrum():
+        if eps != ZERO and eps in x.space.spectrum():
             assert value == eps
 
 
 def _scan_na(x, y):
     # reference: the linear quotient scan that the binary search replaced
-    candidates = sorted(set(x.spectrum().elems) | set(y.spectrum().elems))
+    candidates = sorted(set(x.space.spectrum().elems) | set(y.space.spectrum().elems))
     for eps in candidates:
         if x.space.quotient(eps).canonical_form() == y.space.quotient(eps).canonical_form():
             return eps
@@ -189,7 +189,7 @@ def test_binary_search_matches_linear_scan():
     rng = spawn_rng(75)
     for _ in range(1000):
         x = GHPoint(gen_space(rng))
-        spec = x.spectrum().elems
+        spec = x.space.spectrum().elems
         if rng.random() < 0.4:
             y = GHPoint(x.space.quotient(spec[rng.randrange(len(spec))]))
         else:

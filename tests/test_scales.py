@@ -14,8 +14,6 @@ from ultrapetal.scales import (
     ZERO,
     as_scale,
     max_outside,
-    nearly_discrete_metric,
-    scale_str,
 )
 
 scales = st.fractions(min_value=0, max_value=10, max_denominator=40)
@@ -34,21 +32,7 @@ def test_as_scale_parsing():
 
 def test_scale_str_round_trip():
     for text in ["0", "1/2", "3", "7/3"]:
-        assert scale_str(as_scale(text)) == text
-
-
-def test_nearly_discrete_metric_examples():
-    assert nearly_discrete_metric("1/2", "1/3") == Fraction(1, 2)
-    assert nearly_discrete_metric("3/4", "3/4") == ZERO
-    assert nearly_discrete_metric(0, 2) == Fraction(2)
-
-
-@given(scales, scales, scales)
-def test_nearly_discrete_metric_is_ultrametric(x, y, z):
-    dxy = nearly_discrete_metric(x, y)
-    assert dxy == nearly_discrete_metric(y, x)
-    assert (dxy == ZERO) == (x == y)
-    assert dxy <= max(nearly_discrete_metric(x, z), nearly_discrete_metric(z, y))
+        assert str(as_scale(text)) == text
 
 
 def test_union_examples():
@@ -164,8 +148,8 @@ def test_scale_grammar_matches_fraction(p, q, sep):
     assert x == Fraction(text)
     assert (x.numerator, x.denominator) == (Fraction(text).numerator, Fraction(text).denominator)
     # what is written back parses to the same value and writes the same bytes
-    written = scale_str(x)
-    assert as_scale(written) == x and scale_str(as_scale(written)) == written
+    written = str(x)
+    assert as_scale(written) == x and str(as_scale(written)) == written
 
 
 @pytest.mark.parametrize("text", [

@@ -1,6 +1,7 @@
-"""Static checks on the package source, with the standard library only."""
+"""Checks on the package source and its public names, with the standard library only."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,13 @@ def test_unused_import_check_sees_each_form():
         "__all__ = ['ZERO']\n"
     )
     assert unused_imports(source) == ["line 2: json", "line 4: mf", "line 5: check_tree"]
+
+
+@pytest.mark.parametrize("module", ["ultrapetal"] + [f"ultrapetal.{p.stem}" for p in MODULES if p.stem.startswith("model_")])
+def test_public_names_resolve(module):
+    # a name dropped from a module but left in its __all__ fails here
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    assert set(mod.__all__) <= set(namespace)

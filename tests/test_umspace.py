@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultrapetal.model_cpum import CantorPseudoUltrametric, truncate
+from ultrapetal.model_cpum import CantorPseudoUltrametric, trace, truncate
 from ultrapetal.model_gh import GHPoint, na_distance
 from ultrapetal.petal_harness import (
     POOL,
@@ -16,7 +16,6 @@ from ultrapetal.petal_harness import (
 from ultrapetal.scales import RangeSet, Scale, ZERO, as_scale
 from ultrapetal.umspace import (
     Dendrogram,
-    EmptySubset,
     FiniteUltraSpace,
     NotPositive,
     NotSymmetric,
@@ -24,8 +23,12 @@ from ultrapetal.umspace import (
     SpaceError,
     check_matrix,
     check_tree,
-    validate,
 )
+
+def _space_of(tree):
+    # the space whose dendrogram ``tree`` is, its points in sorted order
+    return FiniteUltraSpace._from_tree(sorted(tree.leaves()), tree)
+
 
 THREE = FiniteUltraSpace(
     ["a", "b", "c"],
@@ -34,10 +37,10 @@ THREE = FiniteUltraSpace(
 
 
 def test_validate_examples():
-    assert len(validate(["p", "q"], [["0", "1"], ["1", "0"]])) == 2
+    assert len(FiniteUltraSpace(["p", "q"], [["0", "1"], ["1", "0"]])) == 2
     assert len(THREE) == 3
     with pytest.raises(NotUltrametric) as err:
-        validate(
+        FiniteUltraSpace(
             ["a", "b", "c"],
             [["0", "1/2", "1"], ["1/2", "0", "1/4"], ["1", "1/4", "0"]],
         )
@@ -46,17 +49,17 @@ def test_validate_examples():
 
 def test_validate_rejects_bad_matrices():
     with pytest.raises(NotSymmetric):
-        validate(["a", "b"], [["0", "1"], ["1/2", "0"]])
+        FiniteUltraSpace(["a", "b"], [["0", "1"], ["1/2", "0"]])
     with pytest.raises(NotPositive):
-        validate(["a", "b"], [["0", "0"], ["0", "0"]])
+        FiniteUltraSpace(["a", "b"], [["0", "0"], ["0", "0"]])
     with pytest.raises(NotPositive):
-        validate(["a", "b"], [["1", "1"], ["1", "0"]])
+        FiniteUltraSpace(["a", "b"], [["1", "1"], ["1", "0"]])
     with pytest.raises(SpaceError):
-        validate(["a", "a"], [["0", "1"], ["1", "0"]])
+        FiniteUltraSpace(["a", "a"], [["0", "1"], ["1", "0"]])
     with pytest.raises(SpaceError):
-        validate([], [])
+        FiniteUltraSpace([], [])
     with pytest.raises(SpaceError):
-        validate(["a", "b"], [["0", "1"]])
+        FiniteUltraSpace(["a", "b"], [["0", "1"]])
 
 
 def test_spectrum_examples():
@@ -119,7 +122,7 @@ def test_dendrogram_reconstructs_space():
     rng = spawn_rng(33)
     for _ in range(40):
         space = gen_space(rng, max_points=7)
-        rebuilt = space.dendrogram().to_space()
+        rebuilt = _space_of(space.dendrogram())
         assert rebuilt.labels == tuple(sorted(space.labels))
         for a in space.labels:
             for b in space.labels:
@@ -144,7 +147,7 @@ def test_generated_spaces_validate():
     rng = spawn_rng(35)
     for _ in range(60):
         space = gen_space(rng, max_points=8)
-        validate(space.labels, space.dist)
+        FiniteUltraSpace(space.labels, space.dist)
 
 
 def test_quotient_composition_and_spectrum_law():
@@ -170,41 +173,6 @@ def test_quotient_label_collision_is_detected():
     )
     with pytest.raises(SpaceError):
         tricky.quotient("1/4")
-
-
-def test_hausdorff_examples():
-    assert THREE.hausdorff(["a", "b"], ["a", "b"]) == ZERO
-    two = FiniteUltraSpace(["p", "q"], [["0", "1"], ["1", "0"]])
-    assert two.hausdorff(["p"], ["q"]) == Fraction(1)
-    # oracle: both directed terms evaluated by hand
-    #   sup over {a} of inf to {b,c} = 1/2; sup over {b,c} of inf to {a} = 1
-    assert THREE.hausdorff(["a"], ["b", "c"]) == Fraction(1)
-    with pytest.raises(EmptySubset):
-        THREE.hausdorff([], ["a"])
-
-
-def test_hausdorff_brute_force_agreement():
-    rng = spawn_rng(37)
-    for _ in range(60):
-        space = gen_space(rng, max_points=7)
-        labels = list(space.labels)
-        a = [l for l in labels if rng.random() < 0.5] or [labels[0]]
-        b = [l for l in labels if rng.random() < 0.5] or [labels[-1]]
-        directed_ab = max(min(space.d(x, y) for y in b) for x in a)
-        directed_ba = max(min(space.d(y, x) for x in a) for y in b)
-        assert space.hausdorff(a, b) == max(directed_ab, directed_ba)
-
-
-def test_hausdorff_strong_triangle_over_subsets():
-    rng = spawn_rng(38)
-    for _ in range(60):
-        space = gen_space(rng, max_points=7)
-        labels = list(space.labels)
-        subsets = []
-        for _ in range(3):
-            subsets.append([l for l in labels if rng.random() < 0.6] or [labels[0]])
-        a, b, c = subsets
-        assert space.hausdorff(a, b) <= max(space.hausdorff(a, c), space.hausdorff(c, b))
 
 
 def test_space_json_round_trip():
@@ -322,14 +290,14 @@ def test_deep_chain_needs_no_recursion():
     n = 1100
     scales = [Fraction(1, i + 1) for i in range(n)]
     rows = [[ZERO if i == j else scales[min(i, j)] for j in range(n)] for i in range(n)]
-    space = validate([f"p{i:04d}" for i in range(n)], rows)
+    space = FiniteUltraSpace([f"p{i:04d}" for i in range(n)], rows)
     assert space.canonical_form().count("(") == n - 1
     eps = scales[n // 2]
     q = space.quotient(eps)
     assert len(q) == n // 2 + 1
     _assert_same_space(q, FiniteUltraSpace(q.labels, q.dist))
     assert na_distance(GHPoint(space), GHPoint(q)) == eps
-    _assert_same_space(space.dendrogram().to_space(), space)
+    _assert_same_space(_space_of(space.dendrogram()), space)
 
 
 # Reference oracles for the tree path: the matrix-built quotient,
@@ -419,7 +387,7 @@ def _assert_same_space(built, want):
 def _assert_same_cpum(built, want):
     assert built.cells == want.cells
     assert built.dist == want.dist
-    assert built.spectrum() == want.spectrum()
+    assert trace(built) == trace(want)
     assert _unordered(built.dendrogram()) == _unordered(want.dendrogram())
 
 
@@ -430,7 +398,7 @@ def test_tree_path_matches_check_matrix():
         for space in (gen_space(rng, max_points=8), gen_space(rng, pool=pool)):
             _assert_same_space(space, FiniteUltraSpace(space.labels, space.dist))
             checked = FiniteUltraSpace(space.labels, space.dist).dendrogram()
-            _assert_same_space(checked.to_space(), _ref_to_space(checked))
+            _assert_same_space(_space_of(checked), _ref_to_space(checked))
             for eps in space.spectrum():
                 _assert_same_space(space.quotient(eps), _ref_quotient(space, eps))
         for d in (gen_cpum(rng), gen_cpum(rng, pool=pool)):
