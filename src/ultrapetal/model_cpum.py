@@ -23,8 +23,10 @@ class CantorPseudoUltrametric:
     Cells are stored in lexicographic order, together with the dendrogram
     over the cells, whose 0-nodes hold cells at distance 0; the rows are
     filled from the tree in cell order.  Elements are compared up to the
-    induced function on pairs, not up to cell structure; equality of
-    elements is ``ud(d, e) == 0``.  Immutable.
+    induced function on pairs, not up to cell structure: two elements are
+    equal when ``ud(d, e) == 0``.  The class defines no ``__eq__``, so
+    ``==`` is object identity; the harness compares elements with
+    ``petal_harness._cpum_same``.  Immutable.
     """
 
     __slots__ = ("cells", "dist", "_tree")

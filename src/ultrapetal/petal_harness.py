@@ -14,7 +14,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -200,26 +199,6 @@ def _cpum_same(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class _Sampler:
-    """How the generic suites draw, twin and compare elements of one model.
-
-    ``gen(rng, pool=s)`` draws a member of the petal of ``s``.
-    """
-
-    model: Model
-    gen: Callable
-    twin: Callable
-    equal: Callable = operator.eq
-
-
-# one module-level name per record, as for the records in petal.py
-_F = _Sampler(F, gen_support_map, _twin_f)
-_MAPS = _Sampler(MAPS, gen_cantor_function, _twin_maps)
-_CPUM = _Sampler(CPUM, gen_cpum, _twin_cpum, equal=_cpum_same)
-_GH = _Sampler(GH, lambda rng, pool=POOL: GHPoint(gen_space(rng, pool=pool)), _twin_gh)
-
-
 # ---------------------------------------------------------------------------
 # property checks; each runs one trial ``t`` and returns None on success
 # or a counterexample dict
@@ -390,7 +369,7 @@ def _check_extension(ops: _Sampler, rng, t):
     return None
 
 
-def _check_claim_f(rng, t):
+def _check_claim_f(ops: _Sampler, rng, t):
     # the distance of two support maps is their top disagreement, both ways
     f = gen_support_map(rng)
     if t % 2 == 0:
@@ -417,7 +396,7 @@ def _check_claim_f(rng, t):
     return None
 
 
-def _check_embed_f(rng, t):
+def _check_embed_f(ops: _Sampler, rng, t):
     space = gen_space(rng, max_points=10)
     images = model_f.embed_space(space)
     for a in space.labels:
@@ -427,7 +406,7 @@ def _check_embed_f(rng, t):
     return None
 
 
-def _check_canonical_maps(rng, t):
+def _check_canonical_maps(ops: _Sampler, rng, t):
     f = gen_cantor_function(rng)
     g = _twin_maps(rng, f)
     if g.cells != f.cells or model_maps.nabla(f, g) != ZERO:
@@ -435,7 +414,7 @@ def _check_canonical_maps(rng, t):
     return None
 
 
-def _check_cross_model(rng, t):
+def _check_cross_model(ops: _Sampler, rng, t):
     # one space, embedded independently in both models, same matrix
     space = gen_space(rng, max_points=8)
     f_images = model_f.embed_space(space)
@@ -452,7 +431,7 @@ def _check_cross_model(rng, t):
     return None
 
 
-def _check_oracle_gh(rng, t):
+def _check_oracle_gh(ops: _Sampler, rng, t):
     if t == 0:
         # the exhaustive corpus is swept once, before the random pairs
         for x in small_corpus():
@@ -468,7 +447,7 @@ def _check_oracle_gh(rng, t):
     return None
 
 
-def _check_quotient_gh(rng, t):
+def _check_quotient_gh(ops: _Sampler, rng, t):
     x = GHPoint(gen_space(rng))
     spectrum = x.space.spectrum()
     choices = sorted(set(POOL.elems) | set(spectrum.elems))
@@ -484,81 +463,88 @@ def _check_quotient_gh(rng, t):
 
 
 # ---------------------------------------------------------------------------
-# suite registry and reports
+# harness records, suites and reports
 
 
 @dataclass(frozen=True)
 class PropertySpec:
+    """One suite row; ``run(ops, rng, t)`` runs trial ``t`` on model ``ops``."""
+
     tag: str
     name: str
     factor: float
     run: Callable
 
 
-SUITES: dict[str, tuple[PropertySpec, ...]] = {
-    "f": (
-        PropertySpec("metric-axioms", "delta_is_ultrametric", 1.0, partial(_check_metric_axioms, _F)),
-        PropertySpec("max-disagreement-law", "delta_is_top_support_disagreement", 1.0, _check_claim_f),
-        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_check_p1_valued, _F)),
-        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_check_p2_trace, _F)),
-        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_check_p3, _F)),
-        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_check_p4, _F)),
-        PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, partial(_check_petal_formula, _F)),
-        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_check_trace_tail, _F)),
-        PropertySpec("one-point-extension", "extension_exact_preserving_rejecting", 0.1, partial(_check_extension, _F)),
-        PropertySpec("finite-embedding", "embed_space_reproduces_matrix", 0.1, _check_embed_f),
-        PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, partial(_check_covering, _F)),
-        PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, partial(_check_approximate, _F)),
-    ),
-    "maps": (
-        PropertySpec("metric-axioms", "nabla_is_ultrametric", 1.0, partial(_check_metric_axioms, _MAPS)),
-        PropertySpec("canonical-merge", "canonical_form_unique", 0.1, _check_canonical_maps),
-        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_check_p1_valued, _MAPS)),
-        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_check_p2_trace, _MAPS)),
-        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_check_p3, _MAPS)),
-        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_check_p4, _MAPS)),
-        PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, partial(_check_petal_formula, _MAPS)),
-        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_check_trace_tail, _MAPS)),
-        PropertySpec("one-point-extension", "extension_exact_preserving_rejecting", 0.1, partial(_check_extension, _MAPS)),
-        PropertySpec("cross-model-embedding", "embeddings_agree_across_models", 0.05, _check_cross_model),
-        PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, partial(_check_covering, _MAPS)),
-        PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, partial(_check_approximate, _MAPS)),
-    ),
-    "cpum": (
-        PropertySpec("metric-axioms", "ud_is_ultrametric", 1.0, partial(_check_metric_axioms, _CPUM)),
-        PropertySpec("truncation-witness", "petal_distance_formula_witness_optimal", 0.1, partial(_check_petal_formula, _CPUM)),
-        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_check_p1_valued, _CPUM)),
-        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_check_p2_trace, _CPUM)),
-        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_check_p3, _CPUM)),
-        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_check_p4, _CPUM)),
-        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_check_trace_tail, _CPUM)),
-        PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, partial(_check_covering, _CPUM)),
-        PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, partial(_check_approximate, _CPUM)),
-    ),
-    "gh": (
-        PropertySpec("metric-axioms", "na_is_ultrametric", 0.1, partial(_check_metric_axioms, _GH)),
-        PropertySpec("oracle-agreement", "na_matches_ambient_oracle", 0.05, _check_oracle_gh),
-        PropertySpec("quotient-contraction", "quotient_within_eps", 0.1, _check_quotient_gh),
-        PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, partial(_check_p1_valued, _GH)),
-        PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, partial(_check_p2_trace, _GH)),
-        PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, partial(_check_p3, _GH)),
-        PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, partial(_check_p4, _GH)),
-        PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, partial(_check_petal_formula, _GH)),
-        PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, partial(_check_trace_tail, _GH)),
-    ),
-}
+# the properties two or more models share, one record each
+PIECE_VALUED = PropertySpec("piece-valuedness-P1", "petal_members_keep_distances_in_range", 0.1, _check_p1_valued)
+PETAL_UNION = PropertySpec("petal-union-P2", "element_lies_in_minimal_trace_petal", 0.1, _check_p2_trace)
+PETAL_INTERSECTION = PropertySpec("petal-intersection-P3", "petal_membership_intersects", 0.1, _check_p3)
+PETAL_DISTANCE_GAP = PropertySpec("petal-distance-membership-P4", "petal_distance_in_trace_gap", 0.1, _check_p4)
+PETAL_FORMULA = PropertySpec("petal-distance-formula", "petal_distance_formula_witness_optimal", 0.1, _check_petal_formula)
+TRACE_TAIL = PropertySpec("trace-tail-agreement", "traces_agree_above_distance", 0.1, _check_trace_tail)
+EXTENSION = PropertySpec("one-point-extension", "extension_exact_preserving_rejecting", 0.1, _check_extension)
+COVERING = PropertySpec("covering-petal", "covering_petal_contains_inputs", 0.1, _check_covering)
+APPROXIMATION = PropertySpec("petal-approximation", "approximate_into_petal_close", 0.1, _check_approximate)
 
-_MODEL_SALT = {"f": 11, "maps": 12, "cpum": 13, "gh": 14}
+
+@dataclass(frozen=True)
+class _Sampler:
+    """The harness record of one model: how to draw, twin and compare its elements, and its suite.
+
+    ``gen(rng, pool=s)`` draws a member of the petal of ``s``.  ``salt``
+    keeps the model's random streams apart from the other models', and
+    ``suite`` lists its properties in report order.
+    """
+
+    model: Model
+    gen: Callable
+    twin: Callable
+    salt: int
+    suite: tuple[PropertySpec, ...]
+    equal: Callable = operator.eq
+
+
+# one module-level name per record, as for the records in petal.py
+_F = _Sampler(F, gen_support_map, _twin_f, salt=11, suite=(
+    PropertySpec("metric-axioms", "delta_is_ultrametric", 1.0, _check_metric_axioms),
+    PropertySpec("max-disagreement-law", "delta_is_top_support_disagreement", 1.0, _check_claim_f),
+    PIECE_VALUED, PETAL_UNION, PETAL_INTERSECTION, PETAL_DISTANCE_GAP, PETAL_FORMULA, TRACE_TAIL, EXTENSION,
+    PropertySpec("finite-embedding", "embed_space_reproduces_matrix", 0.1, _check_embed_f),
+    COVERING, APPROXIMATION,
+))
+_MAPS = _Sampler(MAPS, gen_cantor_function, _twin_maps, salt=12, suite=(
+    PropertySpec("metric-axioms", "nabla_is_ultrametric", 1.0, _check_metric_axioms),
+    PropertySpec("canonical-merge", "canonical_form_unique", 0.1, _check_canonical_maps),
+    PIECE_VALUED, PETAL_UNION, PETAL_INTERSECTION, PETAL_DISTANCE_GAP, PETAL_FORMULA, TRACE_TAIL, EXTENSION,
+    PropertySpec("cross-model-embedding", "embeddings_agree_across_models", 0.05, _check_cross_model),
+    COVERING, APPROXIMATION,
+))
+_CPUM = _Sampler(CPUM, gen_cpum, _twin_cpum, salt=13, equal=_cpum_same, suite=(
+    PropertySpec("metric-axioms", "ud_is_ultrametric", 1.0, _check_metric_axioms),
+    PropertySpec("truncation-witness", "petal_distance_formula_witness_optimal", 0.1, _check_petal_formula),
+    PIECE_VALUED, PETAL_UNION, PETAL_INTERSECTION, PETAL_DISTANCE_GAP, TRACE_TAIL,
+    COVERING, APPROXIMATION,
+))
+_GH = _Sampler(GH, lambda rng, pool=POOL: GHPoint(gen_space(rng, pool=pool)), _twin_gh, salt=14, suite=(
+    PropertySpec("metric-axioms", "na_is_ultrametric", 0.1, _check_metric_axioms),
+    PropertySpec("oracle-agreement", "na_matches_ambient_oracle", 0.05, _check_oracle_gh),
+    PropertySpec("quotient-contraction", "quotient_within_eps", 0.1, _check_quotient_gh),
+    PIECE_VALUED, PETAL_UNION, PETAL_INTERSECTION, PETAL_DISTANCE_GAP, PETAL_FORMULA, TRACE_TAIL,
+))
+
+SAMPLERS = {ops.model.name: ops for ops in (_F, _MAPS, _CPUM, _GH)}
 
 
 def run_property(model: str, name: str, cfg: TrialConfig) -> tuple[bool, int, dict | None]:
     """Run one named suite property; returns (passed, trials, counterexample with "trial")."""
-    for pidx, spec in enumerate(SUITES[model]):
+    ops = SAMPLERS[model]
+    for pidx, spec in enumerate(ops.suite):
         if spec.name == name or spec.tag == name:
             n = max(1, round(cfg.trials * spec.factor))
-            rng = spawn_rng(cfg.seed, _MODEL_SALT[model], pidx)
+            rng = spawn_rng(cfg.seed, ops.salt, pidx)
             for t in range(n):
-                failure = spec.run(rng, t)
+                failure = spec.run(ops, rng, t)
                 if failure is not None:
                     return False, n, {"trial": t, **failure}
             return True, n, None
@@ -567,12 +553,12 @@ def run_property(model: str, name: str, cfg: TrialConfig) -> tuple[bool, int, di
 
 def run_axiom_suite(model: str, cfg: TrialConfig, dump_dir: str | None = None) -> str:
     """Run every registered property of one model; returns the text report."""
-    if model not in SUITES:
+    if model not in SAMPLERS:
         raise KeyError(f"unknown model {model!r}")
     lines = [
         f"# axiom-suite model={model} seed={cfg.seed} trials={cfg.trials} generator={GENERATOR_NAME}"
     ]
-    for spec in SUITES[model]:
+    for spec in SAMPLERS[model].suite:
         ok, n, failure = run_property(model, spec.name, cfg)
         if ok:
             lines.append(f"{spec.tag} {spec.name} PASS trials={n}")

@@ -218,9 +218,9 @@ def test_harness_failure_exit_code_and_dump(tmp_path, capsys, monkeypatch):
 
     broken = ph.PropertySpec(
         "metric-axioms", "always_fails", 1.0,
-        lambda rng, t: {"reason": "forced"},
+        lambda ops, rng, t: {"reason": "forced"},
     )
-    monkeypatch.setitem(ph.SUITES, "f", (broken,))
+    monkeypatch.setitem(ph.SAMPLERS, "f", dataclasses.replace(ph._F, suite=(broken,)))
     code = main([
         "harness", "--model", "f", "--seed", "1", "--trials", "5",
         "--dump-dir", str(tmp_path),
@@ -294,10 +294,6 @@ def test_emitted_files_reparse_to_equal_values(tmp_path, capsys):
     assert trace(reparsed).to_json() == ["0", "1"]
 
 
-SAMPLERS = {"f": petal_harness._F, "maps": petal_harness._MAPS,
-            "cpum": petal_harness._CPUM, "gh": petal_harness._GH}
-
-
 def same_element(name, x, y) -> bool:
     if name == "cpum":
         return ud(x, y) == 0
@@ -310,7 +306,7 @@ def same_element(name, x, y) -> bool:
 def test_element_files_round_trip(name):
     # an element's file text reads back to an equal element whose file
     # text is the same bytes
-    sampler, model = SAMPLERS[name], MODELS[name]
+    sampler, model = petal_harness.SAMPLERS[name], MODELS[name]
     rng = petal_harness.spawn_rng(71)
     elements = []
     for _ in range(60):

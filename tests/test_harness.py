@@ -13,7 +13,7 @@ from ultrapetal.petal_harness import (
     _GH,
     _MAPS,
     POOL,
-    SUITES,
+    SAMPLERS,
     InvariantViolation,
     PartialIsometry,
     TrialConfig,
@@ -140,8 +140,8 @@ def test_run_property_and_suite_consistency():
 
 def test_every_registered_property_passes_briefly():
     cfg = TrialConfig(seed=3, trials=20)
-    for model, specs in SUITES.items():
-        for spec in specs:
+    for model, ops in SAMPLERS.items():
+        for spec in ops.suite:
             ok, _, failure = run_property(model, spec.name, cfg)
             assert ok, (model, spec.name, failure)
 
@@ -151,7 +151,7 @@ def test_suite_report_format_and_determinism():
     report = run_axiom_suite("maps", cfg)
     lines = report.splitlines()
     assert lines[0].startswith("# axiom-suite model=maps seed=4 trials=20 generator=")
-    assert len(lines) == 1 + len(SUITES["maps"])
+    assert len(lines) == 1 + len(SAMPLERS["maps"].suite)
     for line in lines[1:]:
         tag, name, verdict, trials = line.split()[:4]
         assert verdict == "PASS"
@@ -164,9 +164,9 @@ def test_suite_dumps_counterexample_on_failure(tmp_path, monkeypatch):
 
     broken = ph.PropertySpec(
         "metric-axioms", "always_fails", 1.0,
-        lambda rng, t: {"reason": "forced"},
+        lambda ops, rng, t: {"reason": "forced"},
     )
-    monkeypatch.setitem(ph.SUITES, "f", (broken,))
+    monkeypatch.setitem(ph.SAMPLERS, "f", dataclasses.replace(ph._F, suite=(broken,)))
     report = ph.run_axiom_suite("f", TrialConfig(seed=1, trials=5), dump_dir=str(tmp_path))
     assert " FAIL " in report
     dump = tmp_path / "f_always_fails.json"
@@ -184,7 +184,16 @@ def test_backforth_report_shape():
 
 def test_models_registry_complete():
     assert set(MODELS) == {"f", "maps", "cpum", "gh"}
-    assert set(SUITES) == {"f", "maps", "cpum", "gh"}
+    assert set(SAMPLERS) == set(MODELS)
+    assert all(SAMPLERS[name].model is MODELS[name] for name in MODELS)
+    assert len({ops.salt for ops in SAMPLERS.values()}) == len(SAMPLERS)
+    for ops in SAMPLERS.values():
+        # run_property takes the first spec whose tag or name matches, so a
+        # repeated tag or name would hide a later property
+        tags = [spec.tag for spec in ops.suite]
+        names = [spec.name for spec in ops.suite]
+        assert len(set(tags)) == len(tags) and len(set(names)) == len(names)
+        assert not set(tags) & set(names)
 
 
 def truncation_distance(model, equal, x, y):
@@ -199,7 +208,7 @@ def test_metric_is_least_agreeing_truncation(name):
     # an oracle sharing no code with delta, nabla, ud or na_distance;
     # y is a fresh draw, a twin of x, or a truncation of either
     model = MODELS[name]
-    sampler = {"f": _F, "maps": _MAPS, "cpum": _CPUM, "gh": _GH}[name]
+    sampler = SAMPLERS[name]
     rng = spawn_rng(20240811, 11)
     for t in range(300):
         x = sampler.gen(rng)
@@ -256,8 +265,8 @@ def test_pinned_pairings_and_suite_table():
     cfg = TrialConfig(seed=5, trials=40)
     table = {
         f"{model}/{spec.tag}": list(run_property(model, spec.name, cfg)[:2])
-        for model, specs in SUITES.items()
-        for spec in specs
+        for model, ops in SAMPLERS.items()
+        for spec in ops.suite
     }
     assert _sha256(table) == "9547484525acc0459b6e1ecccea7dd346df0fc2289eca83087922ff091a9d763"
 
@@ -306,8 +315,8 @@ def test_pinned_failure_path():
             object.__setattr__(m, "truncate", lambda x, u: x)
         cfg = TrialConfig(seed=3, trials=60)
         table = {}
-        for model, specs in SUITES.items():
-            for spec in specs:
+        for model, ops in SAMPLERS.items():
+            for spec in ops.suite:
                 try:
                     table[f"{model}/{spec.tag}"] = list(run_property(model, spec.name, cfg))
                 except Exception as err:

@@ -186,14 +186,10 @@ def held_scales(obj, seen=None):
     return [v for part in parts for v in held_scales(part, seen)]
 
 
-SAMPLERS = {"f": petal_harness._F, "maps": petal_harness._MAPS,
-            "cpum": petal_harness._CPUM, "gh": petal_harness._GH}
-
-
 @pytest.mark.parametrize("name", list(MODELS))
 def test_generated_and_parsed_elements_hold_scales(name):
     # a plain Fraction anywhere would still give right answers, only slowly
-    sampler = SAMPLERS[name]
+    sampler = petal_harness.SAMPLERS[name]
     model = MODELS[name]
     rng = random.Random(5)
     for _ in range(40):
