@@ -129,9 +129,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         model = MODELS[args.model]
         element = model.from_json(_read_json(args.element))
         value, witness = model.petal_distance(element, _parse_range(args.range_set))
-        print(value)
-        if args.witness:
+        if args.witness:  # before the value, so a failed write prints nothing
             Path(args.witness).write_text(json.dumps(witness.to_json(), indent=2) + "\n")
+        print(value)
         return 0
 
     if args.command == "extend":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cells import align, check_prefixes
+from .cells import align, check_prefixes, merge_equal_siblings
 from .scales import RangeSet, ScaleLike, ZERO, as_scale
 from .umspace import Dendrogram, check_matrix, check_tree
 
@@ -23,10 +23,9 @@ class CantorPseudoUltrametric:
     Cells are stored in lexicographic order, together with the dendrogram
     over the cells, whose 0-nodes hold cells at distance 0; the rows are
     filled from the tree in cell order.  Elements are compared up to the
-    induced function on pairs, not up to cell structure: two elements are
-    equal when ``ud(d, e) == 0``.  The class defines no ``__eq__``, so
-    ``==`` is object identity; the harness compares elements with
-    ``petal_harness._cpum_same``.  Immutable.
+    induced function on pairs, not up to cell structure: ``==`` and
+    ``hash`` read the coarsest cell partition, so ``d == e`` exactly when
+    ``ud(d, e) == 0``.  Immutable.
     """
 
     __slots__ = ("cells", "dist", "_tree")
@@ -45,6 +44,20 @@ class CantorPseudoUltrametric:
         d.dist = check_tree(d.cells, tree, allow_zero=True)
         d._tree = tree
         return d
+
+    def _normal_form(self) -> tuple:
+        # distance 0 is an equivalence; a class is named by its first cell,
+        # sibling cells of one class fold into their parent, and the rows
+        # between the classes of the folded cells complete the key
+        first = [row.index(ZERO) for row in self.dist]
+        merged, classes = merge_equal_siblings(self.cells, dict(zip(self.cells, first)))
+        return merged, tuple(tuple(self.dist[a][b] for b in classes) for a in classes)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CantorPseudoUltrametric) and self._normal_form() == other._normal_form()
+
+    def __hash__(self) -> int:
+        return hash(self._normal_form())
 
     def dendrogram(self) -> Dendrogram:
         """The tree over the cells; child order is arbitrary."""

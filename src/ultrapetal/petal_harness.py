@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import model_f, model_maps
-from .cells import cell_owners, refinement
 from .extension import Inconsistent, embed
 from .model_cpum import CantorPseudoUltrametric, flatten, zero_node
 from .model_f import SupportMap
@@ -187,18 +185,6 @@ def _twin_gh(rng: random.Random, x: GHPoint) -> GHPoint:
     return GHPoint(FiniteUltraSpace._from_tree([f"r{i}" for i in range(len(order))], tree))
 
 
-def _cpum_same(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> bool:
-    refined = refinement((d.cells, e.cells))
-    od = cell_owners(refined, d.cells)
-    oe = cell_owners(refined, e.cells)
-    n = len(refined)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d.dist[od[i]][od[j]] != e.dist[oe[i]][oe[j]]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # property checks; each runs one trial ``t`` and returns None on success
 # or a counterexample dict
@@ -213,7 +199,7 @@ def _check_metric_axioms(ops: _Sampler, rng, t):
         bad = "symmetry"
     elif ops.model.metric(x, x) != ZERO:
         bad = "self-distance"
-    elif (dxy == ZERO) != ops.equal(x, y):
+    elif (dxy == ZERO) != (x == y):
         bad = "identity-of-indiscernibles"
     else:
         dxz = ops.model.metric(x, z)
@@ -490,7 +476,7 @@ APPROXIMATION = PropertySpec("petal-approximation", "approximate_into_petal_clos
 
 @dataclass(frozen=True)
 class _Sampler:
-    """The harness record of one model: how to draw, twin and compare its elements, and its suite.
+    """The harness record of one model: how to draw and twin its elements, and its suite.
 
     ``gen(rng, pool=s)`` draws a member of the petal of ``s``.  ``salt``
     keeps the model's random streams apart from the other models', and
@@ -502,7 +488,6 @@ class _Sampler:
     twin: Callable
     salt: int
     suite: tuple[PropertySpec, ...]
-    equal: Callable = operator.eq
 
 
 # one module-level name per record, as for the records in petal.py
@@ -520,7 +505,7 @@ _MAPS = _Sampler(MAPS, gen_cantor_function, _twin_maps, salt=12, suite=(
     PropertySpec("cross-model-embedding", "embeddings_agree_across_models", 0.05, _check_cross_model),
     COVERING, APPROXIMATION,
 ))
-_CPUM = _Sampler(CPUM, gen_cpum, _twin_cpum, salt=13, equal=_cpum_same, suite=(
+_CPUM = _Sampler(CPUM, gen_cpum, _twin_cpum, salt=13, suite=(
     PropertySpec("metric-axioms", "ud_is_ultrametric", 1.0, _check_metric_axioms),
     PropertySpec("truncation-witness", "petal_distance_formula_witness_optimal", 0.1, _check_petal_formula),
     PIECE_VALUED, PETAL_UNION, PETAL_INTERSECTION, PETAL_DISTANCE_GAP, TRACE_TAIL,

@@ -78,8 +78,9 @@ def _parse_scale(text: str) -> Scale:
         raise ValueError(f"scale must be p, p/q or p.q in ASCII digits, got {text!r}")
     whole, denominator, decimals = m.groups()
     if decimals is not None:
+        # one int() over all digits: the int-string limit refuses what str() could not print
         d = 10 ** len(decimals)
-        n = int(whole) * d + int(decimals)
+        n = int(whole + decimals)
     else:
         n = int(whole)
         d = 1 if denominator is None else int(denominator)

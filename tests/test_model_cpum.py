@@ -202,5 +202,11 @@ def test_json_round_trip():
     )
     again = CantorPseudoUltrametric.from_json(d.to_json())
     assert again.cells == d.cells and again.dist == d.dist
+    assert again == d and hash(again) == hash(d)
+    other = CantorPseudoUltrametric(
+        ["00", "01", "1"],
+        [["0", "1/3", "1"], ["1/3", "0", "1"], ["1", "1", "0"]],
+    )
+    assert other != d
     with pytest.raises(ValueError):
         CantorPseudoUltrametric.from_json({"cells": ["0", "1"]})

@@ -1,6 +1,7 @@
 import json
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,18 @@ def test_scale_grammar_matches_fraction(p, q, sep):
 def test_scale_grammar_refusals(text):
     with pytest.raises(ValueError):
         as_scale(text)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int-string digit limit")
+def test_decimal_scale_within_digit_limit():
+    # p.q is read with one int() over all its digits: a scale whose parts
+    # each pass the limit but whose value could not be printed is refused
+    limit = sys.get_int_max_str_digits()
+    half = limit // 2 + 1
+    with pytest.raises(ValueError):
+        as_scale("7" * half + "." + "3" * half)
+    inside = as_scale("7" * (limit // 2) + "." + "3" * (limit - limit // 2))
+    assert as_scale(str(inside)) == inside
 
 
 def held_scales(obj, seen=None):

@@ -70,6 +70,44 @@ def test_unused_import_check_sees_each_form():
     assert unused_imports(source) == ["line 2: json", "line 4: mf", "line 5: check_tree"]
 
 
+def unhashed_eq_classes(source: str) -> list[str]:
+    """Classes that define ``__eq__`` without binding ``__hash__``: Python sets it to None."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bound = set()
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bound.add(stmt.name)
+            elif isinstance(stmt, ast.Assign):
+                bound.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        if "__eq__" in bound and "__hash__" not in bound:
+            missing.append(f"line {node.lineno}: {node.name}")
+    return missing
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_eq_classes_bind_hash(path):
+    assert unhashed_eq_classes(path.read_text()) == []
+
+
+def test_hash_check_sees_each_form():
+    source = (
+        "class A:\n"
+        "    def __eq__(self, other): return True\n"
+        "class B(int):\n"
+        "    __hash__ = int.__hash__\n"
+        "    def __eq__(self, other): return True\n"
+        "class C:\n"
+        "    def __eq__(self, other): return True\n"
+        "    def __hash__(self): return 0\n"
+        "class D:\n"
+        "    def __hash__(self): return 0\n"
+    )
+    assert unhashed_eq_classes(source) == ["line 1: A"]
+
+
 @pytest.mark.parametrize("module", ["ultrapetal"] + [f"ultrapetal.{p.stem}" for p in MODULES if p.stem.startswith("model_")])
 def test_public_names_resolve(module):
     # a name dropped from a module but left in its __all__ fails here
