@@ -89,19 +89,21 @@ def na_oracle(
     nx, ny = len(x.space), len(y.space)
     if nx + ny > 6:
         raise TooLarge(f"oracle limited to 6 points total, got {nx + ny}")
-    dx = x.space.dist
-    dy = y.space.dist
-    grid = sorted(
+    values = sorted(
         {ZERO}
         | set(trace(x).elems)
         | set(trace(y).elems)
         | {as_scale(v) for v in extra_scales}
     )
+    # the search only compares grid values, so it runs on their ranks
+    rank = {v: r for r, v in enumerate(values)}
+    dx = [[rank[v] for v in row] for row in x.space.dist]
+    dy = [[rank[v] for v in row] for row in y.space.dist]
     total = nx * ny
-    cross = [[ZERO] * ny for _ in range(nx)]
-    best: list[Fraction | None] = [None]
+    cross = [[0] * ny for _ in range(nx)]
+    best: list[int | None] = [None]
 
-    def finish(row_floor: Fraction) -> None:
+    def finish(row_floor: int) -> None:
         worst = row_floor
         for j in range(ny):
             nearest = min(cross[i][j] for i in range(nx))
@@ -110,15 +112,15 @@ def na_oracle(
         if best[0] is None or worst < best[0]:
             best[0] = worst
 
-    def search(k: int, row_floor: Fraction) -> None:
+    def search(k: int, row_floor: int) -> None:
         if best[0] is not None and row_floor >= best[0]:
             return
         if k == total:
             finish(row_floor)
             return
         i, j = divmod(k, ny)
-        forced: Fraction | None = None
-        cap: Fraction | None = None
+        forced: int | None = None
+        cap: int | None = None
         # each already-assigned entry sharing a point forces this one to
         # the larger side, or caps it on a tie
         for jj in range(j):
@@ -148,11 +150,11 @@ def na_oracle(
         if forced is not None:
             if cap is not None and forced > cap:
                 return
-            options: Sequence[Fraction] = (forced,)
+            options: Sequence[int] = (forced,)
         elif cap is not None:
-            options = [g for g in grid if g <= cap]
+            options = range(cap + 1)
         else:
-            options = grid
+            options = range(len(values))
         closing_row = j == ny - 1
         for v in options:
             cross[i][j] = v
@@ -162,9 +164,9 @@ def na_oracle(
             else:
                 search(k + 1, row_floor)
 
-    search(0, ZERO)
+    search(0, 0)
     assert best[0] is not None  # the all-maximal assignment is always valid
-    return best[0]
+    return values[best[0]]
 
 
 def trace(x: GHPoint) -> RangeSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -109,7 +110,7 @@ def random_ultrametric_tree(
             node.label = items[0]
             continue
         node.scale = avail[rng.randrange(len(avail))]
-        below = [v for v in avail if v < node.scale]
+        below = avail[:bisect_left(avail, node.scale)]
         nblocks = rng.randint(2, len(items)) if below else len(items)
         rng.shuffle(items)
         if nblocks < len(items):

@@ -221,7 +221,14 @@ class Dendrogram:
 
     def scales(self) -> list[Fraction]:
         """The scales of the internal nodes, one per node, in pre-order."""
-        return [node.scale for node in self.nodes() if node.children]
+        out: list[Fraction] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                out.append(node.scale)
+                stack.extend(reversed(node.children))
+        return out
 
     def leaves(self) -> list[str]:
         return [node.label or "" for node in self.nodes() if node.is_leaf]
@@ -230,16 +237,22 @@ class Dendrogram:
         """Label-free canonical encoding: (scale; sorted child encodings).
 
         A node at or below ``floor`` is written as a point, which makes
-        this the canonical form of the ``floor``-quotient.
+        this the canonical form of the ``floor``-quotient.  Only the
+        internal nodes above ``floor`` are visited.
         """
-        codes: dict[int, str] = {}
-        for node in reversed(list(self.nodes())):
-            inner = [codes.pop(id(child)) for child in node.children]
-            if inner and node.scale > floor:
-                codes[id(node)] = f"({node.scale};{','.join(sorted(inner))})"
-            else:
-                codes[id(node)] = "*"
-        return codes[id(self)]
+        if not self.children or self.scale <= floor:
+            return "*"
+        above = [self]  # parents before children
+        for node in above:
+            for child in node.children:
+                if child.children and child.scale > floor:
+                    above.append(child)
+        codes: dict[Dendrogram, str] = {}
+        for node in reversed(above):
+            inner = [codes.pop(child, "*") for child in node.children]
+            inner.sort()
+            codes[node] = f"({node.scale};{','.join(inner)})"
+        return codes[self]
 
     def cut(self, bound: Fraction, stub: Callable[["Dendrogram"], "Dendrogram"]) -> "Dendrogram":
         """The tree above ``bound``, each subtree at or below it replaced.

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -17,7 +18,7 @@ from ultrapetal.petal_harness import (
     small_corpus,
     spawn_rng,
 )
-from ultrapetal.scales import RangeSet, ZERO
+from ultrapetal.scales import RangeSet, Scale, ScaleLike, ZERO, as_scale
 from ultrapetal.umspace import FiniteUltraSpace
 
 
@@ -126,14 +127,130 @@ def test_oracle_matches_no_pruning_reference():
         assert na_oracle(x, y) == reference_infimum(x, y)
 
 
+EXTRAS = ["1/8", "5/12", "7/12", "5/6", "3/2", "3"]
+
+
 def test_oracle_grid_extension_never_improves():
     # adding finer grid values must not find a better ambient
     rng = spawn_rng(71)
-    extras = ["1/8", "5/12", "7/12", "5/6", "3/2", "3"]
     for _ in range(25):
         x = GHPoint(gen_space(rng, max_points=3))
         y = GHPoint(gen_space(rng, max_points=3))
-        assert na_oracle(x, y) == na_oracle(x, y, extra_scales=extras)
+        assert na_oracle(x, y) == na_oracle(x, y, extra_scales=EXTRAS)
+
+
+def _ref_na_oracle(
+    x: GHPoint, y: GHPoint, extra_scales: Iterable[ScaleLike] = ()
+) -> Fraction:
+    """The Fraction-grid search that the ranked ``na_oracle`` replaced.
+
+    Defining infimum by brute force, for |X| + |Y| <= 6.
+
+    Enumerates pseudo-ultrametrics on the disjoint union that keep both
+    internal matrices, with cross distances drawn from the grid of both
+    spectra, 0, and any extra scales; returns the least Hausdorff
+    distance over the valid ambients.  Zero cross distances glue points,
+    so overlapping embeddings are covered.
+    """
+    nx, ny = len(x.space), len(y.space)
+    if nx + ny > 6:
+        raise TooLarge(f"oracle limited to 6 points total, got {nx + ny}")
+    dx = x.space.dist
+    dy = y.space.dist
+    grid = sorted(
+        {ZERO}
+        | set(trace(x).elems)
+        | set(trace(y).elems)
+        | {as_scale(v) for v in extra_scales}
+    )
+    total = nx * ny
+    cross = [[ZERO] * ny for _ in range(nx)]
+    best: list[Fraction | None] = [None]
+
+    def finish(row_floor: Fraction) -> None:
+        worst = row_floor
+        for j in range(ny):
+            nearest = min(cross[i][j] for i in range(nx))
+            if nearest > worst:
+                worst = nearest
+        if best[0] is None or worst < best[0]:
+            best[0] = worst
+
+    def search(k: int, row_floor: Fraction) -> None:
+        if best[0] is not None and row_floor >= best[0]:
+            return
+        if k == total:
+            finish(row_floor)
+            return
+        i, j = divmod(k, ny)
+        forced: Fraction | None = None
+        cap: Fraction | None = None
+        # each already-assigned entry sharing a point forces this one to
+        # the larger side, or caps it on a tie
+        for jj in range(j):
+            a = cross[i][jj]
+            s = dy[jj][j]
+            if a == s:
+                if cap is None or a < cap:
+                    cap = a
+            else:
+                need = a if a > s else s
+                if forced is None:
+                    forced = need
+                elif forced != need:
+                    return
+        for ii in range(i):
+            a = cross[ii][j]
+            s = dx[ii][i]
+            if a == s:
+                if cap is None or a < cap:
+                    cap = a
+            else:
+                need = a if a > s else s
+                if forced is None:
+                    forced = need
+                elif forced != need:
+                    return
+        if forced is not None:
+            if cap is not None and forced > cap:
+                return
+            options: Sequence[Fraction] = (forced,)
+        elif cap is not None:
+            options = [g for g in grid if g <= cap]
+        else:
+            options = grid
+        closing_row = j == ny - 1
+        for v in options:
+            cross[i][j] = v
+            if closing_row:
+                nearest = min(cross[i][t] for t in range(ny))
+                search(k + 1, nearest if nearest > row_floor else row_floor)
+            else:
+                search(k + 1, row_floor)
+
+    search(0, ZERO)
+    assert best[0] is not None  # the all-maximal assignment is always valid
+    return best[0]
+
+
+def _assert_same_oracle(x, y, extra_scales=()):
+    got = na_oracle(x, y, extra_scales)
+    want = _ref_na_oracle(x, y, extra_scales)
+    assert got == want and type(got) is type(want) is Scale and str(got) == str(want)
+
+
+def test_ranked_oracle_matches_fraction_grid_reference():
+    corpus = small_corpus()
+    for x in corpus:
+        for y in corpus:
+            _assert_same_oracle(x, y)
+            _assert_same_oracle(x, y, EXTRAS)
+    rng = spawn_rng(76)
+    for t in range(300):
+        x = GHPoint(gen_space(rng, max_points=5))
+        y = GHPoint(gen_space(rng, max_points=6 - len(x.space)))
+        assert len(x.space) + len(y.space) <= 6
+        _assert_same_oracle(x, y, EXTRAS if t % 3 == 0 else ())
 
 
 def test_trace_and_petal_examples():

@@ -426,6 +426,83 @@ def _leaf(label):
 HALF, ONE = as_scale("1/2"), as_scale(1)
 
 
+def _ref_tree_of_comprehension(rng, labels, positives):
+    # reference: random_ultrametric_tree with ``below`` taken by a comprehension
+    root = Dendrogram()
+    stack = [(root, list(labels), sorted(positives))]
+    while stack:
+        node, items, avail = stack.pop()
+        if len(items) == 1:
+            node.label = items[0]
+            continue
+        node.scale = avail[rng.randrange(len(avail))]
+        below = [v for v in avail if v < node.scale]
+        nblocks = rng.randint(2, len(items)) if below else len(items)
+        rng.shuffle(items)
+        if nblocks < len(items):
+            cuts = sorted(rng.sample(range(1, len(items)), nblocks - 1))
+        else:
+            cuts = list(range(1, len(items)))
+        node.children = tuple(Dendrogram() for _ in range(nblocks))
+        blocks = [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
+        stack.extend((child, block, below) for child, block in zip(node.children[::-1], blocks[::-1]))
+    return root
+
+
+def test_generator_slice_matches_comprehension():
+    # unsorted positives with repeats: ``below`` must drop every copy of the scale
+    pool = [as_scale(Fraction(k, 6)) for k in range(1, 7)]
+    repeats = 0
+    for seed in range(200):
+        draw = random.Random(-seed)
+        labels = [f"p{i}" for i in range(draw.randint(1, 10))]
+        positives = draw.choices(pool, k=draw.randint(1, 8))
+        rng, ref = random.Random(seed), random.Random(seed)
+        repeats += len(set(positives)) < len(positives)
+        assert _shape(random_ultrametric_tree(rng, labels, positives)) == _shape(
+            _ref_tree_of_comprehension(ref, labels, positives)
+        )
+        assert rng.random() == ref.random()
+    assert repeats > 100
+
+
+def _ref_walk_encode(tree, floor):
+    # reference: the full pre-order walk that ``encode`` replaced
+    codes = {}
+    for node in reversed(list(tree.nodes())):
+        inner = [codes.pop(id(child)) for child in node.children]
+        if inner and node.scale > floor:
+            codes[id(node)] = f"({node.scale};{','.join(sorted(inner))})"
+        else:
+            codes[id(node)] = "*"
+    return codes[id(tree)]
+
+
+def _assert_encodes_match(tree, floors):
+    for floor in floors:
+        assert tree.encode(floor) == _ref_walk_encode(tree, floor)
+
+
+def test_floor_bounded_encode_matches_full_walk():
+    assert _leaf("a").encode() == _leaf("a").encode(ONE) == "*"
+    rng = spawn_rng(24, 0)
+    for _ in range(200):
+        space = gen_space(rng, max_points=8)
+        spec = space.spectrum().elems
+        # node scales themselves sit on the boundary of "above the floor"
+        floors = sorted({ZERO, *spec, *POOL, as_scale(spec[-1] + 1)})
+        _assert_encodes_match(space.dendrogram(), floors)
+        for eps in spec:
+            _assert_encodes_match(space.quotient(eps).dendrogram(), floors)
+    n = 1100
+    chain = _leaf("p0")
+    for i in range(1, n):
+        chain = Dendrogram(as_scale(Fraction(i, n)), None, (_leaf(f"p{i}"), chain))
+    levels = chain.scales()
+    assert len(levels) == n - 1
+    _assert_encodes_match(chain, [ZERO, *levels[::100], levels[-1], levels[0], *POOL])
+
+
 @pytest.mark.parametrize(
     "labels, tree, allow_zero",
     [
