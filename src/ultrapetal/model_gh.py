@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .scales import RangeSet, ScaleLike, ZERO, as_scale
 from .umspace import FiniteUltraSpace
@@ -75,98 +74,60 @@ def na_distance(x: GHPoint, y: GHPoint) -> Fraction:
     )]
 
 
-def na_oracle(
-    x: GHPoint, y: GHPoint, extra_scales: Iterable[ScaleLike] = ()
-) -> Fraction:
+def na_oracle(x: GHPoint, y: GHPoint) -> Fraction:
     """Defining infimum by brute force, for |X| + |Y| <= 6.
 
     Enumerates pseudo-ultrametrics on the disjoint union that keep both
     internal matrices, with cross distances drawn from the grid of both
-    spectra, 0, and any extra scales; returns the least Hausdorff
-    distance over the valid ambients.  Zero cross distances glue points,
-    so overlapping embeddings are covered.
+    spectra (0 included); returns the least Hausdorff distance over the
+    valid ambients.  Zero cross distances glue points, so overlapping
+    embeddings are covered.
     """
     nx, ny = len(x.space), len(y.space)
     if nx + ny > 6:
         raise TooLarge(f"oracle limited to 6 points total, got {nx + ny}")
-    values = sorted(
-        {ZERO}
-        | set(trace(x).elems)
-        | set(trace(y).elems)
-        | {as_scale(v) for v in extra_scales}
-    )
+    values = trace(x).union(trace(y)).elems
     # the search only compares grid values, so it runs on their ranks
     rank = {v: r for r, v in enumerate(values)}
     dx = [[rank[v] for v in row] for row in x.space.dist]
     dy = [[rank[v] for v in row] for row in y.space.dist]
     total = nx * ny
-    cross = [[0] * ny for _ in range(nx)]
-    best: list[int | None] = [None]
-
-    def finish(row_floor: int) -> None:
-        worst = row_floor
-        for j in range(ny):
-            nearest = min(cross[i][j] for i in range(nx))
-            if nearest > worst:
-                worst = nearest
-        if best[0] is None or worst < best[0]:
-            best[0] = worst
+    cross = [0] * total  # entry (i, j) at i * ny + j, filled row by row
+    best = len(values)  # above every rank: no pruning before the first ambient
 
     def search(k: int, row_floor: int) -> None:
-        if best[0] is not None and row_floor >= best[0]:
+        nonlocal best
+        if row_floor >= best:
             return
         if k == total:
-            finish(row_floor)
+            for j in range(ny):
+                nearest = min(cross[j::ny])
+                if nearest > row_floor:
+                    row_floor = nearest
+            if row_floor < best:
+                best = row_floor
             return
         i, j = divmod(k, ny)
-        forced: int | None = None
-        cap: int | None = None
-        # each already-assigned entry sharing a point forces this one to
-        # the larger side, or caps it on a tie
-        for jj in range(j):
-            a = cross[i][jj]
-            s = dy[jj][j]
-            if a == s:
-                if cap is None or a < cap:
-                    cap = a
-            else:
-                need = a if a > s else s
-                if forced is None:
-                    forced = need
-                elif forced != need:
-                    return
-        for ii in range(i):
-            a = cross[ii][j]
-            s = dx[ii][i]
-            if a == s:
-                if cap is None or a < cap:
-                    cap = a
-            else:
-                need = a if a > s else s
-                if forced is None:
-                    forced = need
-                elif forced != need:
-                    return
-        if forced is not None:
-            if cap is not None and forced > cap:
-                return
-            options: Sequence[int] = (forced,)
-        elif cap is not None:
-            options = range(cap + 1)
-        else:
-            options = range(len(values))
-        closing_row = j == ny - 1
-        for v in options:
-            cross[i][j] = v
-            if closing_row:
-                nearest = min(cross[i][t] for t in range(ny))
+        # the entry takes the ranks in [lo, hi]: each filled entry a sharing
+        # a point at internal rank s caps it at max(a, s), and when a != s
+        # also forces it up to that value, so every triangle stays isosceles
+        lo, hi = 0, len(values) - 1
+        for a, s in zip(cross[k - j:k] + cross[j:k:ny], dy[j][:j] + dx[i][:i]):
+            need = a if a > s else s
+            if need < hi:
+                hi = need
+            if a != s and need > lo:
+                lo = need
+        for v in range(lo, hi + 1):
+            cross[k] = v
+            if j == ny - 1:
+                nearest = min(cross[k - j:k + 1])
                 search(k + 1, nearest if nearest > row_floor else row_floor)
             else:
                 search(k + 1, row_floor)
 
     search(0, 0)
-    assert best[0] is not None  # the all-maximal assignment is always valid
-    return values[best[0]]
+    return values[best]  # the all-maximal assignment is always valid
 
 
 def trace(x: GHPoint) -> RangeSet:

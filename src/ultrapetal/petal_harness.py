@@ -655,8 +655,8 @@ def back_and_forth(cfg: TrialConfig) -> PartialIsometry:
 def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int) -> PartialIsometry:
     """Extend a random finite self-isometry of the support-map model.
 
-    Draws up to ``subset_size`` distinct points, builds an isometric copy by
-    re-embedding their distance matrix in a reshuffled order, then
+    Draws up to ``subset_size`` distinct points, places an isometric copy
+    of them in a reshuffled order by one-point extensions, then
     alternately extends the pairing over fresh random points, verifying
     exactness at each step.
     """
@@ -668,20 +668,14 @@ def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int) -> PartialIsometry
         candidate = gen_support_map(rng)
         if candidate not in points:
             points.append(candidate)
-    size = len(points)
-    copy: list[SupportMap] = []
-    if size:
-        order = list(range(size))
-        rng.shuffle(order)
-        labels = [f"q{i}" for i in range(size)]
-        rows = [
-            [model_f.delta(points[order[a]], points[order[b]]) for b in range(size)]
-            for a in range(size)
-        ]
-        images = model_f.embed_space(FiniteUltraSpace(labels, rows))
-        copy = [SupportMap()] * size
-        for a in range(size):
-            copy[order[a]] = images[f"q{a}"]
+    order = list(range(len(points)))
+    rng.shuffle(order)
+    copy: list[SupportMap] = [SupportMap()] * len(points)
+    for k, a in enumerate(order):
+        done = order[:k]
+        copy[a] = model_f.one_point_extension(
+            [copy[b] for b in done], [model_f.delta(points[a], points[b]) for b in done]
+        )
     pairing = PartialIsometry(list(points), copy, F.metric, F.metric)
     pairing.verify()
     _extend_both_ways(pairing, _F, _F, rng, cfg.trials)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -19,7 +20,7 @@ from ultrapetal.petal_harness import (
     spawn_rng,
 )
 from ultrapetal.scales import RangeSet, Scale, ScaleLike, ZERO, as_scale
-from ultrapetal.umspace import FiniteUltraSpace
+from ultrapetal.umspace import Dendrogram, FiniteUltraSpace
 
 
 def point(*rows, labels=None):
@@ -136,7 +137,7 @@ def test_oracle_grid_extension_never_improves():
     for _ in range(25):
         x = GHPoint(gen_space(rng, max_points=3))
         y = GHPoint(gen_space(rng, max_points=3))
-        assert na_oracle(x, y) == na_oracle(x, y, extra_scales=EXTRAS)
+        assert na_oracle(x, y) == _ref_na_oracle(x, y, extra_scales=EXTRAS)
 
 
 def _ref_na_oracle(
@@ -234,7 +235,9 @@ def _ref_na_oracle(
 
 
 def _assert_same_oracle(x, y, extra_scales=()):
-    got = na_oracle(x, y, extra_scales)
+    # the extra scales reach only the reference: a finer grid must not
+    # change the infimum
+    got = na_oracle(x, y)
     want = _ref_na_oracle(x, y, extra_scales)
     assert got == want and type(got) is type(want) is Scale and str(got) == str(want)
 
@@ -251,6 +254,61 @@ def test_ranked_oracle_matches_fraction_grid_reference():
         y = GHPoint(gen_space(rng, max_points=6 - len(x.space)))
         assert len(x.space) + len(y.space) <= 6
         _assert_same_oracle(x, y, EXTRAS if t % 3 == 0 else ())
+
+
+def _shapes(n, below):
+    """Every tree over n unlabelled leaves with integer internal scales < below.
+
+    A leaf is None and an internal node is (scale, children); children
+    are listed in every order, so shapes repeat up to isomorphism.
+    """
+    if n == 1:
+        yield None
+        return
+    # one or more cuts among the n leaves: a node needs two or more children
+    cut_sets = [c for k in range(1, n) for c in itertools.combinations(range(1, n), k)]
+    for scale in range(1, below):
+        for cuts in cut_sets:
+            bounds = (0, *cuts, n)
+            sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+            for kids in itertools.product(*(list(_shapes(m, scale)) for m in sizes)):
+                yield scale, kids
+
+
+def _grow(shape, labels):
+    if shape is None:
+        return Dendrogram(label=labels.pop())
+    scale, kids = shape
+    return Dendrogram(as_scale(scale), None, tuple(_grow(kid, labels) for kid in kids))
+
+
+def _dendrogram_classes(max_points, top):
+    """One space per isometry class with at most max_points points and
+    internal scales in 1..top, deduplicated by the dendrogram encoding."""
+    seen = {}
+    for n in range(1, max_points + 1):
+        labels = [f"p{i}" for i in range(n)]
+        for shape in _shapes(n, top + 1):
+            tree = _grow(shape, labels[::-1])
+            seen.setdefault(tree.encode(), GHPoint(FiniteUltraSpace._from_tree(labels, tree)))
+    return list(seen.values())
+
+
+def test_oracle_gate_is_exhaustive_on_six_points():
+    # with |X| + |Y| <= 6 the two spectra hold at most 4 positive values,
+    # so scales 1..4 give the oracle every rank pattern it can meet
+    classes = _dendrogram_classes(5, 4)
+    assert len(classes) == 120
+    pairs = 0
+    for x in classes:
+        for y in classes:
+            if len(x.space) + len(y.space) <= 6:
+                pairs += 1
+                want = _ref_na_oracle(x, y)
+                got = na_oracle(x, y)
+                assert got == na_distance(x, y) == want
+                assert type(got) is Scale and str(got) == str(want)
+    assert pairs == 675
 
 
 def test_trace_and_petal_examples():
