@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -102,25 +101,41 @@ def random_ultrametric_tree(
     two, and all singletons when no smaller scale is left.  Balls are
     split depth-first, first block first.
     """
-    root = Dendrogram()
-    stack = [(root, list(labels), sorted(positives))]
+    scales = sorted(positives)
+    # below[r]: how many scales lie strictly under scales[r]; the scales a
+    # ball may draw are always a prefix scales[:top], so repeats drop together
+    below = list(range(len(scales)))
+    for r in range(1, len(scales)):
+        if scales[r] == scales[r - 1]:
+            below[r] = below[r - 1]
+    records: list = []  # pre-order: a finished subtree, or a ball's (scale, block count)
+    stack = [(list(labels), len(scales))]
     while stack:
-        node, items, avail = stack.pop()
+        items, top = stack.pop()
         if len(items) == 1:
-            node.label = items[0]
+            records.append(Dendrogram(None, items[0]))
             continue
-        node.scale = avail[rng.randrange(len(avail))]
-        below = avail[:bisect_left(avail, node.scale)]
-        nblocks = rng.randint(2, len(items)) if below else len(items)
+        r = rng.randrange(top)
+        k = below[r]
+        nblocks = rng.randint(2, len(items)) if k else len(items)
         rng.shuffle(items)
-        if nblocks < len(items):
-            cuts = sorted(rng.sample(range(1, len(items)), nblocks - 1))
-        else:
-            cuts = list(range(1, len(items)))
-        node.children = tuple(Dendrogram() for _ in range(nblocks))
-        blocks = [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
-        stack.extend((child, block, below) for child, block in zip(node.children[::-1], blocks[::-1]))
-    return root
+        if nblocks == len(items):  # all singletons: no more draws below
+            records.append(Dendrogram(scales[r], None, tuple([Dendrogram(None, x) for x in items])))
+            continue
+        cuts = sorted(rng.sample(range(1, len(items)), nblocks - 1))
+        records.append((scales[r], nblocks))
+        bounds = [0, *cuts, len(items)]
+        stack.extend((items[bounds[i - 1]:bounds[i]], k) for i in range(nblocks, 0, -1))
+    built: list[Dendrogram] = []  # each node once, children before parents
+    for record in reversed(records):
+        if type(record) is tuple:
+            scale, count = record
+            children = built[-count:]
+            del built[-count:]
+            children.reverse()
+            record = Dendrogram(scale, None, tuple(children))
+        built.append(record)
+    return built[0]
 
 
 def gen_space(

@@ -25,12 +25,19 @@ class Scale(Fraction):
     an int) the comparison is ``Fraction``'s own, so mixed comparisons,
     ``str``, ``hash`` and arithmetic are unchanged; arithmetic returns a
     plain ``Fraction``, which ``as_scale`` turns back into a ``Scale``.
+    The hash is ``Fraction``'s, computed on the first ``hash()`` of each
+    object and kept, so a parsed scale never hashed pays nothing for it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
-    # defining __eq__ clears the inherited hash; Fraction's agrees with int's
-    __hash__ = Fraction.__hash__
+    def __hash__(self):
+        # Fraction's hash agrees with int's, and costs a modular pow per call
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = Fraction.__hash__(self)
+            return self._hash
 
     def __eq__(self, other):
         if type(other) is Scale:

@@ -88,11 +88,18 @@ def check_tree(
     child order, so the rows are ultrametric.  The check is O(nodes),
     the fill O(n^2).
     """
+    return _walk_tree(labels, tree, allow_zero, fill=True)
+
+
+def _walk_tree(
+    labels: Sequence[str], tree: "Dendrogram", allow_zero: bool, fill: bool
+) -> "tuple[tuple[Fraction, ...], ...] | None":
+    """``check_tree``'s pass; without ``fill`` it only checks, and returns None."""
     n = len(labels)
     index = dict(zip(labels, range(n)))
     if len(index) != n:
         raise SpaceError("point labels must be distinct")
-    rows = [[ZERO] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)] if fill else None
     order = [tree]
     for node in order:  # breadth first: parents before children
         order.extend(node.children)
@@ -116,16 +123,17 @@ def check_tree(
             if child.children and not child.scale < scale:
                 raise SpaceError(f"child scale {child.scale} is not below its parent's {scale}")
             group = members.pop(child)
-            for a in group:
-                row = rows[a]
-                for b in seen:
-                    row[b] = scale
-                    rows[b][a] = scale
+            if fill:
+                for a in group:
+                    row = rows[a]
+                    for b in seen:
+                        row[b] = scale
+                        rows[b][a] = scale
             seen += group
         members[node] = seen
     if index:
         raise SpaceError(f"point {next(iter(index))!r} is not a leaf of the tree")
-    return tuple(map(tuple, rows))
+    return tuple(map(tuple, rows)) if fill else None
 
 
 def _build(
@@ -281,10 +289,11 @@ class FiniteUltraSpace:
 
     Immutable; construction validates symmetry, positivity off the
     diagonal and the strong triangle inequality.  Spaces the package
-    builds itself come from a checked dendrogram instead (``_from_tree``).
+    builds itself come from a checked dendrogram instead (``_from_tree``),
+    and their matrix is filled from it when ``dist`` is first read.
     """
 
-    __slots__ = ("labels", "dist", "_index", "_tree")
+    __slots__ = ("labels", "_rows", "_index", "_tree")
 
     def __init__(self, labels: Iterable[str], dist: Sequence[Sequence[ScaleLike]]):
         labs = tuple(labels)
@@ -295,18 +304,26 @@ class FiniteUltraSpace:
         if len(set(labs)) != len(labs):
             raise SpaceError("point labels must be distinct")
         self.labels = labs
-        self.dist, self._tree = check_matrix(dist, labs, allow_zero=False)
+        self._rows, self._tree = check_matrix(dist, labs, allow_zero=False)
         self._index = {lab: i for i, lab in enumerate(labs)}
 
     @classmethod
     def _from_tree(cls, labels: Sequence[str], tree: Dendrogram) -> "FiniteUltraSpace":
-        """The space of a dendrogram over ``labels``, checked by ``check_tree``."""
+        """The space of a dendrogram over ``labels``, checked now and filled on first read."""
         space = object.__new__(cls)
         space.labels = tuple(labels)
-        space.dist = check_tree(space.labels, tree)
+        _walk_tree(space.labels, tree, False, fill=False)
+        space._rows = None
         space._tree = tree
         space._index = {lab: i for i, lab in enumerate(space.labels)}
         return space
+
+    @property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix, rows and columns in label order."""
+        if self._rows is None:
+            self._rows = check_tree(self.labels, self._tree)
+        return self._rows
 
     def __len__(self) -> int:
         return len(self.labels)

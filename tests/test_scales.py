@@ -123,6 +123,34 @@ def test_scale_agrees_with_fraction(a, b, k):
     assert {x: 1}.get(a) == 1 and {a: 1}.get(x) == 1
 
 
+def test_kept_hash_is_fractions():
+    # the hash computed on the first call and the kept one read on the
+    # second both agree with Fraction's, so mixed dict lookups still work
+    modulus = sys.hash_info.modulus
+    values = [
+        as_scale(0),
+        as_scale(7),
+        as_scale(modulus + 5),
+        as_scale("3/6"),
+        as_scale("0.25"),
+        as_scale("12.125"),
+        as_scale(f"{modulus * 3 + 1}/7"),  # numerator above the modulus
+        as_scale(f"1/{modulus}"),  # no inverse mod the modulus: the infinite hash
+        as_scale(f"5/{modulus * 2}"),
+        Scale(2, 3),
+    ]
+    for x in values:
+        assert not hasattr(x, "_hash")  # parsing computes no hash
+        want = hash(Fraction(x._numerator, x._denominator))
+        assert hash(x) == want
+        assert hash(x) == want
+        assert {x: 1}[Fraction(x)] == 1 and {Fraction(x): 1}[x] == 1
+        if x._denominator == 1:
+            assert {x: 1}[x._numerator] == 1 and {x._numerator: 1}[x] == 1
+    assert hash(values[7]) == sys.hash_info.inf
+    assert len({*values, *map(Fraction, values)}) == len(values)
+
+
 def test_as_scale_returns_scale_for_every_input():
     for value in ("3/6", "0.5", 7, 0, Fraction(2, 4), Scale(1, 3)):
         assert type(as_scale(value)) is Scale

@@ -1,4 +1,6 @@
+import json
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from ultrapetal.model_cpum import CantorPseudoUltrametric, trace, truncate
 from ultrapetal.model_gh import GHPoint, na_distance
 from ultrapetal.petal_harness import (
     POOL,
+    _twin_gh,
     gen_cpum,
     gen_range_set,
     gen_space,
@@ -464,6 +467,83 @@ def test_generator_slice_matches_comprehension():
         )
         assert rng.random() == ref.random()
     assert repeats > 100
+
+
+def _ref_random_ultrametric_tree(rng, labels, positives):
+    # reference: the generator that placed Dendrogram() placeholders and
+    # took ``below`` by a bisect slice per node
+    root = Dendrogram()
+    stack = [(root, list(labels), sorted(positives))]
+    while stack:
+        node, items, avail = stack.pop()
+        if len(items) == 1:
+            node.label = items[0]
+            continue
+        node.scale = avail[rng.randrange(len(avail))]
+        below = avail[:bisect_left(avail, node.scale)]
+        nblocks = rng.randint(2, len(items)) if below else len(items)
+        rng.shuffle(items)
+        if nblocks < len(items):
+            cuts = sorted(rng.sample(range(1, len(items)), nblocks - 1))
+        else:
+            cuts = list(range(1, len(items)))
+        node.children = tuple(Dendrogram() for _ in range(nblocks))
+        blocks = [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
+        stack.extend((child, block, below) for child, block in zip(node.children[::-1], blocks[::-1]))
+    return root
+
+
+def test_generator_matches_placeholder_builder():
+    # same tree from the same draws, leaving the stream in the same state,
+    # on the pool, generated pools, one scale and unsorted pools with repeats
+    sixths = [as_scale(Fraction(k, 6)) for k in range(1, 7)]
+    for seed in range(600):
+        draw = random.Random(-seed - 1)
+        labels = [f"p{i}" for i in range(draw.randint(1, 10))]
+        positives = [
+            POOL.positives(),
+            gen_range_set(draw).positives(),
+            [draw.choice(sixths)],
+            draw.choices(sixths, k=draw.randint(1, 8)),
+        ][seed % 4]
+        if not positives:  # an empty generated pool: one point only
+            labels = labels[:1]
+        rng, ref = random.Random(seed), random.Random(seed)
+        tree = random_ultrametric_tree(rng, labels, positives)
+        want = _ref_random_ultrametric_tree(ref, labels, positives)
+        assert _shape(tree) == _shape(want)
+        assert tree.encode() == want.encode()
+        assert tree.leaves() == want.leaves()
+        assert rng.random() == ref.random()
+    for n in range(2, 11):  # two or more points need a scale
+        labels = [f"p{i}" for i in range(n)]
+        for build in (random_ultrametric_tree, _ref_random_ultrametric_tree):
+            with pytest.raises(ValueError):
+                build(random.Random(n), labels, [])
+
+
+def _assert_lazy_rows(space):
+    assert space._rows is None
+    tree = space.dendrogram()
+    want = check_tree(space.labels, tree)
+    eager = FiniteUltraSpace(space.labels, want)
+    assert space.dist == want
+    assert space._rows is not None
+    assert json.dumps(space.to_json()) == json.dumps(eager.to_json())
+
+
+def test_rows_are_filled_on_first_read():
+    rng = spawn_rng(16, 0)
+    for _ in range(300):
+        space = gen_space(rng)
+        twin = _twin_gh(rng, GHPoint(space)).space
+        quotients = [space.quotient(u) for u in POOL]
+        for built in (space, twin, *quotients):
+            _assert_lazy_rows(built)
+    x, y = gen_space(rng, max_points=8), gen_space(rng, max_points=8)
+    na_distance(GHPoint(x), GHPoint(y))
+    assert x._rows is None and y._rows is None
+    assert x.quotient(ONE)._rows is None
 
 
 def _ref_walk_encode(tree, floor):
