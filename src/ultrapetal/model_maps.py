@@ -140,12 +140,9 @@ def _place(anchors: Sequence[CantorFunction], want: list[Fraction], m: Fraction,
             split = keys[pos]
     table = dict(zip(base.keys, base.values))
     del table[zero_cell]
-    walk = zero_cell
-    for step in split[len(zero_cell):]:
-        table[walk + ("1" if step == "0" else "0")] = ZERO
-        walk += step
+    for depth in range(len(zero_cell), len(split) + 1):  # split is zero_cell + "0" * k
+        table[split[:depth] + "1"] = ZERO
     table[split + "0"] = m
-    table[split + "1"] = ZERO
     return CantorFunction(table)
 
 

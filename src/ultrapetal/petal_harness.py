@@ -99,7 +99,10 @@ def random_ultrametric_tree(
     Each ball of two or more points draws its scale among those below
     its parent's, then splits into a random number of blocks: at least
     two, and all singletons when no smaller scale is left.  Balls are
-    split depth-first, first block first.
+    split depth-first, first block first.  Each level hands its blocks
+    fewer scales than it had, so the tree is at most
+    ``len(positives) + 1`` nodes deep (7 for ``POOL``) and the recursion
+    stays that shallow whatever the number of labels.
     """
     scales = sorted(positives)
     # below[r]: how many scales lie strictly under scales[r]; the scales a
@@ -108,34 +111,20 @@ def random_ultrametric_tree(
     for r in range(1, len(scales)):
         if scales[r] == scales[r - 1]:
             below[r] = below[r - 1]
-    records: list = []  # pre-order: a finished subtree, or a ball's (scale, block count)
-    stack = [(list(labels), len(scales))]
-    while stack:
-        items, top = stack.pop()
+
+    def grow(items: list, top: int) -> Dendrogram:
         if len(items) == 1:
-            records.append(Dendrogram(None, items[0]))
-            continue
+            return Dendrogram(None, items[0])
         r = rng.randrange(top)
         k = below[r]
         nblocks = rng.randint(2, len(items)) if k else len(items)
         rng.shuffle(items)
         if nblocks == len(items):  # all singletons: no more draws below
-            records.append(Dendrogram(scales[r], None, tuple([Dendrogram(None, x) for x in items])))
-            continue
-        cuts = sorted(rng.sample(range(1, len(items)), nblocks - 1))
-        records.append((scales[r], nblocks))
-        bounds = [0, *cuts, len(items)]
-        stack.extend((items[bounds[i - 1]:bounds[i]], k) for i in range(nblocks, 0, -1))
-    built: list[Dendrogram] = []  # each node once, children before parents
-    for record in reversed(records):
-        if type(record) is tuple:
-            scale, count = record
-            children = built[-count:]
-            del built[-count:]
-            children.reverse()
-            record = Dendrogram(scale, None, tuple(children))
-        built.append(record)
-    return built[0]
+            return Dendrogram(scales[r], None, tuple([Dendrogram(None, x) for x in items]))
+        bounds = [0, *sorted(rng.sample(range(1, len(items)), nblocks - 1)), len(items)]
+        return Dendrogram(scales[r], None, tuple([grow(items[a:b], k) for a, b in zip(bounds, bounds[1:])]))
+
+    return grow(list(labels), len(scales))
 
 
 def gen_space(

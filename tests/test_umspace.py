@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -288,6 +289,54 @@ def test_single_tree_matches_reference_oracles():
     assert accepted > 200 and rejected > 200
 
 
+def test_violation_sweep_matches_scan_past_one_bitset_word():
+    # 10-60 points with one to three pairs changed, wider than the cases
+    # above; with more than one pair changed, the first violated pair in
+    # scan order need not have the smallest value
+    rng = random.Random(17)
+    pool = [Fraction(k, 4) for k in range(1, 9)]
+    rejected = 0
+    for t in range(150):
+        allow_zero = t % 2 == 1
+        n = rng.randint(10, 60)
+        positives = sorted(rng.sample(pool, rng.randint(1, 5)))
+        rows = _random_rows(rng, n, positives)
+        if allow_zero:
+            cut = rng.choice(positives)
+            rows = [[v if v > cut else ZERO for v in row] for row in rows]
+        for _ in range(1 + t % 3):
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = rng.choice(pool)
+        labels = [f"p{x}" for x in range(n)]
+        want = _ref_violation(rows)
+        if want is None:
+            check_matrix(rows, labels, allow_zero=allow_zero)
+            continue
+        rejected += 1
+        with pytest.raises(NotUltrametric) as err:
+            check_matrix(rows, labels, allow_zero=allow_zero)
+        assert err.value.indices == want
+        a, b, c = want
+        assert str(err.value) == (
+            f"strong triangle inequality fails: d(p{a},p{b})={rows[a][b]} > "
+            f"d(p{a},p{c})={rows[a][c]} v d(p{c},p{b})={rows[c][b]}"
+        )
+    assert rejected > 100
+
+
+def test_rejected_chain_is_not_cubic():
+    # nested balls with only the last pair broken: the scan of every
+    # triple took about 10 s at 400 points on a 2-vCPU VM
+    n = 400
+    rows = [[ZERO if i == j else Fraction(1, min(i, j) + 1) for j in range(n)] for i in range(n)]
+    rows[n - 2][n - 1] = rows[n - 1][n - 2] = Fraction(2)
+    start = time.perf_counter()
+    with pytest.raises(NotUltrametric) as err:
+        FiniteUltraSpace([f"p{i}" for i in range(n)], rows)
+    assert time.perf_counter() - start < 2
+    assert err.value.indices == (n - 2, n - 1, 0)
+
+
 def test_deep_chain_needs_no_recursion():
     # 1100 nested balls: deeper than the default recursion limit
     n = 1100
@@ -520,6 +569,21 @@ def test_generator_matches_placeholder_builder():
         for build in (random_ultrametric_tree, _ref_random_ultrametric_tree):
             with pytest.raises(ValueError):
                 build(random.Random(n), labels, [])
+
+
+def test_generator_depth_is_bounded_by_the_pool():
+    # each level draws below its parent's scale: at most 6 internal
+    # levels over POOL's 6 positives, whatever the number of labels
+    labels = [f"p{i}" for i in range(3000)]
+    for seed in range(3):
+        tree = random_ultrametric_tree(random.Random(seed), labels, POOL.positives())
+        depth, level = 0, [tree]
+        while level:
+            depth += 1
+            level = [child for node in level for child in node.children]
+        assert depth <= len(POOL.positives()) + 1 == 7
+        assert sorted(tree.leaves()) == sorted(labels)
+        FiniteUltraSpace._from_tree(labels, tree)  # scales strictly decrease downwards
 
 
 def _assert_lazy_rows(space):
