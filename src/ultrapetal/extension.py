@@ -80,9 +80,10 @@ def extend(metric: Callable, origin: Callable, place: Callable, anchors: Sequenc
     return theta
 
 
-def embed(extend_one: Callable, space) -> dict:
-    """Image of a finite space, placing its points by ``extend_one`` in label order."""
+def embed(extend_one: Callable, order: Sequence, d: Callable) -> dict:
+    """Image of each point ``a`` of ``order``, placed in turn by ``extend_one``
+    at distances ``d(a, b)`` from every earlier point ``b``."""
     images: dict = {}
-    for label in sorted(space.labels):
-        images[label] = extend_one(list(images.values()), [space.d(label, p) for p in images])
+    for a in order:
+        images[a] = extend_one(list(images.values()), [d(a, b) for b in images])
     return images

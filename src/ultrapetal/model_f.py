@@ -126,7 +126,7 @@ def embed_space(space: FiniteUltraSpace) -> dict[str, SupportMap]:
     zero map and each later one placed by a one-point extension; the
     image reproduces the distance matrix exactly.
     """
-    return embed(one_point_extension, space)
+    return embed(one_point_extension, sorted(space.labels), space.d)
 
 
 __all__ = [

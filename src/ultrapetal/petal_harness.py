@@ -387,14 +387,21 @@ def _check_claim_f(ops: _Sampler, rng, t):
     return None
 
 
+def _first_miss(space: FiniteUltraSpace, *copies: tuple[dict, Callable]) -> dict | None:
+    """The first pair in label order at which some ``(images, metric)`` copy misses ``space.d``."""
+    order = sorted(space.labels)
+    for a in order:
+        for b in order:
+            want = space.d(a, b)
+            for images, metric in copies:
+                if metric(images[a], images[b]) != want:
+                    return {"space": space.to_json(), "pair": [a, b]}
+    return None
+
+
 def _check_embed_f(ops: _Sampler, rng, t):
     space = gen_space(rng, max_points=10)
-    images = model_f.embed_space(space)
-    for a in space.labels:
-        for b in space.labels:
-            if model_f.delta(images[a], images[b]) != space.d(a, b):
-                return {"space": space.to_json(), "pair": [a, b]}
-    return None
+    return _first_miss(space, (model_f.embed_space(space), model_f.delta))
 
 
 def _check_canonical_maps(ops: _Sampler, rng, t):
@@ -409,17 +416,8 @@ def _check_cross_model(ops: _Sampler, rng, t):
     # one space, embedded independently in both models, same matrix
     space = gen_space(rng, max_points=8)
     f_images = model_f.embed_space(space)
-    m_images = embed(model_maps.one_point_extension, space)
-    order = sorted(space.labels)
-    for a in order:
-        for b in order:
-            want = space.d(a, b)
-            if (
-                model_f.delta(f_images[a], f_images[b]) != want
-                or model_maps.nabla(m_images[a], m_images[b]) != want
-            ):
-                return {"space": space.to_json(), "pair": [a, b]}
-    return None
+    m_images = embed(model_maps.one_point_extension, sorted(space.labels), space.d)
+    return _first_miss(space, (f_images, model_f.delta), (m_images, model_maps.nabla))
 
 
 def _check_oracle_gh(ops: _Sampler, rng, t):
@@ -669,18 +667,14 @@ def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int) -> PartialIsometry
     attempts = 0
     while len(points) < subset_size and attempts < 200:
         attempts += 1
-        candidate = gen_support_map(rng)
+        candidate = _F.gen(rng)
         if candidate not in points:
             points.append(candidate)
     order = list(range(len(points)))
     rng.shuffle(order)
-    copy: list[SupportMap] = [SupportMap()] * len(points)
-    for k, a in enumerate(order):
-        done = order[:k]
-        copy[a] = model_f.one_point_extension(
-            [copy[b] for b in done], [model_f.delta(points[a], points[b]) for b in done]
-        )
-    pairing = PartialIsometry(list(points), copy, F.metric, F.metric)
+    metric = _F.model.metric
+    images = embed(_F.model.extend, order, lambda a, b: metric(points[a], points[b]))
+    pairing = PartialIsometry(points, [images[a] for a in range(len(points))], metric, metric)
     pairing.verify()
     _extend_both_ways(pairing, _F, _F, rng, cfg.trials)
     return pairing

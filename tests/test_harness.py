@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from ultrapetal import model_cpum, model_f, model_gh, model_maps
-from ultrapetal.petal import MODELS, Model
+from ultrapetal import model_cpum, model_f, model_gh, model_maps, petal_harness
+from ultrapetal.extension import embed
+from ultrapetal.petal import F, MODELS, Model
 from ultrapetal.model_gh import GHPoint
 from ultrapetal.petal_harness import (
     _CPUM,
@@ -123,6 +124,67 @@ def test_ultrahomogeneity_demo_sizes():
     for size in [0, 1, 4]:
         pairing = ultrahomogeneity_demo(TrialConfig(seed=8, trials=5), subset_size=size)
         assert len(pairing) == size + 10
+        pairing.verify()
+
+
+def _homogeneity_by_hand(cfg, subset_size):
+    # ultrahomogeneity_demo as it was before its copy went through
+    # extension.embed: a reference oracle for the shared placement loop
+    rng = spawn_rng(cfg.seed, 2)
+    points = []
+    attempts = 0
+    while len(points) < subset_size and attempts < 200:
+        attempts += 1
+        candidate = gen_support_map(rng)
+        if candidate not in points:
+            points.append(candidate)
+    order = list(range(len(points)))
+    rng.shuffle(order)
+    copy = [model_f.SupportMap()] * len(points)
+    for k, a in enumerate(order):
+        done = order[:k]
+        copy[a] = model_f.one_point_extension(
+            [copy[b] for b in done], [model_f.delta(points[a], points[b]) for b in done]
+        )
+    pairing = PartialIsometry(list(points), copy, F.metric, F.metric)
+    pairing.verify()
+    _extend_both_ways(pairing, _F, _F, rng, cfg.trials)
+    return pairing
+
+
+def _pairs_json(pairing):
+    return [[x.to_json() for x in pairing.left], [y.to_json() for y in pairing.right]]
+
+
+def test_ultrahomogeneity_demo_matches_hand_loop():
+    for seed in range(200):
+        for size in range(6):
+            cfg = TrialConfig(seed=seed, trials=2)
+            assert _pairs_json(ultrahomogeneity_demo(cfg, size)) == _pairs_json(
+                _homogeneity_by_hand(cfg, size)
+            ), (seed, size)
+
+
+def test_homogeneity_on_maps():
+    # the shared placement loop and _extend_both_ways serve a second model
+    for seed in range(50):
+        rng = spawn_rng(seed, 2)
+        points = []
+        for _ in range(200):
+            if len(points) == seed % 6:
+                break
+            candidate = _MAPS.gen(rng)
+            if candidate not in points:
+                points.append(candidate)
+        order = list(range(len(points)))
+        rng.shuffle(order)
+        metric = _MAPS.model.metric
+        images = embed(_MAPS.model.extend, order, lambda a, b: metric(points[a], points[b]))
+        assert list(images) == order
+        pairing = PartialIsometry(points, [images[a] for a in range(len(points))], metric, metric)
+        pairing.verify()
+        _extend_both_ways(pairing, _MAPS, _MAPS, rng, rounds=10)
+        assert len(pairing) == seed % 6 + 20
         pairing.verify()
 
 
@@ -330,3 +392,84 @@ def test_pinned_failure_path():
     failed = [key for key, result in table.items() if not (isinstance(result, list) and result[0])]
     assert len(table) == 42 and len(failed) == 15
     assert _sha256(table) == "3501bd9c84dee66c36a6d0c8d4341f9bc9e0ae63cb40f1d27c3121116fa020fc"
+
+
+def _embed_f_by_hand(space, images):
+    # the double loops of the two embedding checks before they shared one
+    # copy check: reference oracles for the counterexample pair
+    for a in space.labels:
+        for b in space.labels:
+            if model_f.delta(images[a], images[b]) != space.d(a, b):
+                return {"space": space.to_json(), "pair": [a, b]}
+    return None
+
+
+def _cross_model_by_hand(space, f_images, m_images):
+    order = sorted(space.labels)
+    for a in order:
+        for b in order:
+            want = space.d(a, b)
+            if (
+                model_f.delta(f_images[a], f_images[b]) != want
+                or model_maps.nabla(m_images[a], m_images[b]) != want
+            ):
+                return {"space": space.to_json(), "pair": [a, b]}
+    return None
+
+
+def _swapping(real, copies, rng):
+    # a wrong copy: the images of two labels drawn by rng trade places;
+    # each call's arguments and copy are kept for the reference loops
+    def swapped(*args):
+        images = dict(real(*args))
+        labels = sorted(images)
+        if len(labels) > 1:
+            a, b = rng.sample(labels, 2)
+            images[a], images[b] = images[b], images[a]
+        copies.append((args, images))
+        return images
+
+    return swapped
+
+
+def _own_first_miss(space, images, metric):
+    order = sorted(space.labels)
+    return next(
+        ([a, b] for a in order for b in order if metric(images[a], images[b]) != space.d(a, b)), None
+    )
+
+
+def test_embedding_checks_report_first_missed_pair(monkeypatch):
+    swaps = spawn_rng(5, 0)
+    f_copies, m_copies = [], []
+    monkeypatch.setattr(model_f, "embed_space", _swapping(model_f.embed_space, f_copies, swaps))
+    monkeypatch.setattr(petal_harness, "embed", _swapping(embed, m_copies, swaps))
+    rng = spawn_rng(5, 1)
+    caught = 0
+    for t in range(200):
+        failure = petal_harness._check_embed_f(_F, rng, t)
+        (space,), f_images = f_copies[-1]
+        assert failure == _embed_f_by_hand(space, f_images)
+        caught += failure is not None
+    assert caught > 50
+    caught = split = 0
+    for t in range(200):
+        failure = petal_harness._check_cross_model(_MAPS, rng, t)
+        ((space,), f_images), (_, m_images) = f_copies[-1], m_copies[-1]
+        assert failure == _cross_model_by_hand(space, f_images, m_images)
+        if failure is None:
+            continue
+        caught += 1
+        # each copy's own first miss; the earlier one in label order wins
+        order = sorted(space.labels)
+        own = [
+            miss
+            for miss in (
+                _own_first_miss(space, f_images, model_f.delta),
+                _own_first_miss(space, m_images, model_maps.nabla),
+            )
+            if miss is not None
+        ]
+        assert failure["pair"] == min(own, key=lambda pair: (order.index(pair[0]), order.index(pair[1])))
+        split += len(own) == 2 and own[0] != own[1]
+    assert caught > 50 and split > 20
