@@ -22,10 +22,10 @@ class CantorPseudoUltrametric:
 
     Cells are stored in lexicographic order, together with the dendrogram
     over the cells, whose 0-nodes hold cells at distance 0; the rows are
-    filled from the tree in cell order.  Elements are compared up to the
-    induced function on pairs, not up to cell structure: ``==`` and
-    ``hash`` read the coarsest cell partition, so ``d == e`` exactly when
-    ``ud(d, e) == 0``.  Immutable.
+    filled from the tree at once, in cell order, as ``ud`` reads them.
+    Elements are compared up to the induced function on pairs, not up to
+    cell structure: ``==`` and ``hash`` read the coarsest cell partition,
+    so ``d == e`` exactly when ``ud(d, e) == 0``.  Immutable.
     """
 
     __slots__ = ("cells", "dist", "_tree")
@@ -33,15 +33,16 @@ class CantorPseudoUltrametric:
     def __init__(self, cells: Sequence[str], dist: Sequence[Sequence[ScaleLike]]):
         given = list(cells)
         self.cells: tuple[str, ...] = check_prefixes(given)
-        _, self._tree = check_matrix(dist, given, allow_zero=True)
-        self.dist: tuple[tuple[Fraction, ...], ...] = check_tree(self.cells, self._tree, allow_zero=True)
+        self._tree = check_matrix(dist, given, allow_zero=True)
+        self.dist: tuple[tuple[Fraction, ...], ...] = self._tree.rows(self.cells)
 
     @classmethod
     def _from_tree(cls, cells: Sequence[str], tree: Dendrogram) -> "CantorPseudoUltrametric":
         """The element of a dendrogram over ``cells``, checked by ``check_tree``."""
         d = object.__new__(cls)
         d.cells = check_prefixes(cells)
-        d.dist = check_tree(d.cells, tree, allow_zero=True)
+        check_tree(d.cells, tree, allow_zero=True)
+        d.dist = tree.rows(d.cells)
         d._tree = tree
         return d
 

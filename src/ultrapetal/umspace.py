@@ -8,7 +8,7 @@ string deciding isometry.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .scales import RangeSet, Scale, ScaleLike, ZERO, as_scale
 
@@ -39,12 +39,12 @@ def check_matrix(
     dist: Sequence[Sequence[ScaleLike]],
     names: Sequence[str],
     allow_zero: bool = False,
-) -> tuple[tuple[tuple[Fraction, ...], ...], "Dendrogram | None"]:
+) -> "Dendrogram | None":
     """Validate a square matrix of scales as a (pseudo-)ultrametric.
 
-    Returns the coerced rows and their dendrogram (``None`` for an empty
-    matrix).  ``allow_zero`` admits vanishing off-diagonal entries
-    (pseudo-ultrametrics).
+    Returns its dendrogram, the leaves labelled by ``names`` (``None``
+    for an empty matrix).  ``allow_zero`` admits vanishing off-diagonal
+    entries (pseudo-ultrametrics).
     """
     n = len(names)
     if not isinstance(dist, (list, tuple)) or any(not isinstance(row, (list, tuple)) for row in dist):
@@ -65,52 +65,33 @@ def check_matrix(
                     i, j, f"d({names[i]},{names[j]}) must be positive"
                 )
     if n == 0:
-        return rows, None
+        return None
     tree = _build(rows, names)
     if tree is None:
         _first_violation(rows, names)
-    return rows, tree
+    return tree
 
 
-def check_tree(
-    labels: Sequence[str], tree: "Dendrogram", allow_zero: bool = False
-) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of the (pseudo-)ultrametric a dendrogram stands for.
+def check_tree(labels: Sequence[str], tree: "Dendrogram", allow_zero: bool = False) -> None:
+    """Check that a dendrogram stands for a (pseudo-)ultrametric on ``labels``.
 
-    The internal path for spaces the package builds itself: one pass,
-    children before parents, checks the tree and fills each pair once,
-    at its lowest common ancestor, with no scale comparisons between
-    entries.
-    Every internal node must have at least two children and a ``Scale``
-    that is positive (or 0 with ``allow_zero``) and strictly above the
-    scales of its internal children; every label must be a leaf exactly
-    once.  Such a tree is the one ``_build`` makes from its rows, up to
-    child order, so the rows are ultrametric.  The check is O(nodes),
-    the fill O(n^2).
+    The internal path for trees the package builds itself, in O(nodes),
+    children before parents.  Every internal node must have at least two
+    children and a ``Scale`` that is positive (or 0 with ``allow_zero``)
+    and strictly above the scales of its internal children; every label
+    must be a leaf exactly once.  Such a tree is the one ``_build`` makes
+    from its rows, up to child order, so ``tree.rows(labels)`` is
+    ultrametric.
     """
-    return _walk_tree(labels, tree, allow_zero, fill=True)
-
-
-def _walk_tree(
-    labels: Sequence[str], tree: "Dendrogram", allow_zero: bool, fill: bool
-) -> "tuple[tuple[Fraction, ...], ...] | None":
-    """``check_tree``'s pass; without ``fill`` it only checks, and returns None."""
-    n = len(labels)
-    index = dict(zip(labels, range(n)))
-    if len(index) != n:
+    index = dict.fromkeys(labels)
+    if len(index) != len(labels):
         raise SpaceError("point labels must be distinct")
-    rows = [[ZERO] * n for _ in range(n)] if fill else None
-    order = [tree]
-    for node in order:  # breadth first: parents before children
-        order.extend(node.children)
-    members: dict[Dendrogram, list[int]] = {}
-    for node in reversed(order):
+    for node in reversed(tree.nodes()):
         children = node.children
         if not children:
-            i = index.pop(node.label, None)
-            if i is None:
+            if node.label not in index:
                 raise SpaceError(f"leaf {node.label!r} is not a point or appears twice")
-            members[node] = [i]
+            del index[node.label]
             continue
         scale = node.scale
         if len(children) < 2:
@@ -118,22 +99,11 @@ def _walk_tree(
         if type(scale) is not Scale or scale._numerator < 0 or (scale._numerator == 0 and not allow_zero):
             kind = "non-negative" if allow_zero else "positive"
             raise SpaceError(f"node scale must be a {kind} Scale, got {scale!r}")
-        seen: list[int] = []
         for child in children:
             if child.children and not child.scale < scale:
                 raise SpaceError(f"child scale {child.scale} is not below its parent's {scale}")
-            group = members.pop(child)
-            if fill:
-                for a in group:
-                    row = rows[a]
-                    for b in seen:
-                        row[b] = scale
-                        rows[b][a] = scale
-            seen += group
-        members[node] = seen
     if index:
         raise SpaceError(f"point {next(iter(index))!r} is not a leaf of the tree")
-    return tuple(map(tuple, rows)) if fill else None
 
 
 def _build(
@@ -238,27 +208,45 @@ class Dendrogram:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def nodes(self) -> Iterator["Dendrogram"]:
-        """Every node of the tree, in pre-order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+    def nodes(self) -> list["Dendrogram"]:
+        """Every node of the tree, breadth first: parents before children."""
+        order = [self]
+        for node in order:
+            order.extend(node.children)
+        return order
 
     def scales(self) -> list[Fraction]:
-        """The scales of the internal nodes, one per node, in pre-order."""
-        out: list[Fraction] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                out.append(node.scale)
-                stack.extend(reversed(node.children))
-        return out
+        """The positive scales of the internal nodes, one per node, parents first."""
+        return [node.scale for node in self._above(ZERO)]
 
     def leaves(self) -> list[str]:
         return [node.label or "" for node in self.nodes() if node.is_leaf]
+
+    def rows(self, labels: Sequence[str]) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix of a checked tree, rows and columns in ``labels`` order.
+
+        Children before parents, each pair is filled once, at its lowest
+        common ancestor: O(n^2) assignments and no scale comparisons.
+        """
+        n = len(labels)
+        index = dict(zip(labels, range(n)))
+        rows = [[ZERO] * n for _ in range(n)]
+        members: dict[Dendrogram, list[int]] = {}
+        for node in reversed(self.nodes()):
+            if not node.children:
+                continue
+            scale = node.scale
+            seen: list[int] = []
+            for child in node.children:
+                group = members.pop(child) if child.children else [index[child.label]]
+                for a in group:
+                    row = rows[a]
+                    for b in seen:
+                        row[b] = scale
+                        rows[b][a] = scale
+                seen += group
+            members[node] = seen
+        return tuple(map(tuple, rows))
 
     def encode(self, floor: Fraction = ZERO) -> str:
         """Label-free canonical encoding: (scale; sorted child encodings).
@@ -301,9 +289,9 @@ class FiniteUltraSpace:
     """A labelled finite set with an exact ultrametric distance matrix.
 
     Immutable; construction validates symmetry, positivity off the
-    diagonal and the strong triangle inequality.  Spaces the package
-    builds itself come from a checked dendrogram instead (``_from_tree``),
-    and their matrix is filled from it when ``dist`` is first read.
+    diagonal and the strong triangle inequality into a dendrogram, and
+    spaces the package builds itself start from a checked dendrogram
+    (``_from_tree``).  Only the tree is kept until ``dist`` is first read.
     """
 
     __slots__ = ("labels", "_rows", "_index", "_tree")
@@ -317,15 +305,16 @@ class FiniteUltraSpace:
         if len(set(labs)) != len(labs):
             raise SpaceError("point labels must be distinct")
         self.labels = labs
-        self._rows, self._tree = check_matrix(dist, labs, allow_zero=False)
+        self._tree = check_matrix(dist, labs, allow_zero=False)
+        self._rows = None
         self._index = {lab: i for i, lab in enumerate(labs)}
 
     @classmethod
     def _from_tree(cls, labels: Sequence[str], tree: Dendrogram) -> "FiniteUltraSpace":
-        """The space of a dendrogram over ``labels``, checked now and filled on first read."""
+        """The space of a dendrogram over ``labels``, checked by ``check_tree``."""
         space = object.__new__(cls)
         space.labels = tuple(labels)
-        _walk_tree(space.labels, tree, False, fill=False)
+        check_tree(space.labels, tree)
         space._rows = None
         space._tree = tree
         space._index = {lab: i for i, lab in enumerate(space.labels)}
@@ -333,9 +322,9 @@ class FiniteUltraSpace:
 
     @property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The distance matrix, rows and columns in label order."""
+        """The distance matrix, rows and columns in label order, filled on first read."""
         if self._rows is None:
-            self._rows = check_tree(self.labels, self._tree)
+            self._rows = self._tree.rows(self.labels)
         return self._rows
 
     def __len__(self) -> int:

@@ -202,6 +202,19 @@ def test_quotient_output_reparses(space_file, capsys):
     assert result.labels == ("a+b", "c")
 
 
+def test_quotient_label_collision_exits_one(tmp_path, capsys):
+    # the class {a+b, c} and the class {a, b+c} are both named a+b+c
+    space = write(tmp_path, "plus.json", {
+        "points": ["a+b", "c", "a", "b+c"],
+        "dist": [["0", "1/2", "1", "1"], ["1/2", "0", "1", "1"],
+                 ["1", "1", "0", "1/2"], ["1", "1", "1/2", "0"]],
+    })
+    assert main(["quotient", space, "--eps", "1/2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: quotient class labels collide; avoid '+' in point labels\n"
+
+
 def test_canon_invariant_under_relabeling(tmp_path, space_file, capsys):
     assert main(["canon", space_file]) == 0
     first = capsys.readouterr().out

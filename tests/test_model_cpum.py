@@ -11,7 +11,7 @@ from ultrapetal.model_cpum import (
 )
 from ultrapetal.petal import CPUM
 from ultrapetal.petal_harness import POOL, gen_cpum, gen_range_set, spawn_rng
-from ultrapetal.scales import RangeSet, Scale, ZERO
+from ultrapetal.scales import RangeSet, Scale, ZERO, as_scale
 from ultrapetal.umspace import NotSymmetric, NotUltrametric, SpaceError, check_matrix
 
 
@@ -76,7 +76,8 @@ def _ref_sorted(cells, dist):
     # oracle: the validated rows permuted into sorted cell order, one lookup per entry
     given = list(cells)
     ordered = check_prefixes(given)
-    rows, _ = check_matrix(dist, given, allow_zero=True)
+    check_matrix(dist, given, allow_zero=True)
+    rows = tuple(tuple(as_scale(v) for v in row) for row in dist)
     order = sorted(range(len(given)), key=lambda i: given[i])
     return ordered, tuple(tuple(rows[a][b] for b in order) for a in order)
 

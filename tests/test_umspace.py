@@ -247,7 +247,7 @@ def _random_rows(rng, n, positives):
     """The rows of ``random_ultrametric_tree`` over n points, as lists."""
     labels = [str(i) for i in range(n)]
     tree = random_ultrametric_tree(rng, labels, [as_scale(v) for v in positives])
-    return [list(row) for row in check_tree(labels, tree)]
+    return [list(row) for row in tree.rows(labels)]
 
 
 def _random_matrix(rng, allow_zero):
@@ -280,7 +280,7 @@ def test_single_tree_matches_reference_oracles():
             assert err.value.indices == want
             continue
         accepted += 1
-        _, tree = check_matrix(rows, labels, allow_zero=allow_zero)
+        tree = check_matrix(rows, labels, allow_zero=allow_zero)
         assert _shape(tree) == _ref_tree(rows, labels)
         if not allow_zero:
             space = FiniteUltraSpace(labels, rows)
@@ -589,7 +589,7 @@ def test_generator_depth_is_bounded_by_the_pool():
 def _assert_lazy_rows(space):
     assert space._rows is None
     tree = space.dendrogram()
-    want = check_tree(space.labels, tree)
+    want = tree.rows(space.labels)
     eager = FiniteUltraSpace(space.labels, want)
     assert space.dist == want
     assert space._rows is not None
@@ -604,10 +604,22 @@ def test_rows_are_filled_on_first_read():
         quotients = [space.quotient(u) for u in POOL]
         for built in (space, twin, *quotients):
             _assert_lazy_rows(built)
+        matrix = [[str(v) for v in row] for row in space.dist]
+        checked = FiniteUltraSpace(space.labels, matrix)
+        _assert_lazy_rows(checked)
+        assert checked.dist == tuple(tuple(as_scale(v) for v in row) for row in matrix)
     x, y = gen_space(rng, max_points=8), gen_space(rng, max_points=8)
     na_distance(GHPoint(x), GHPoint(y))
     assert x._rows is None and y._rows is None
     assert x.quotient(ONE)._rows is None
+    # a matrix from outside is kept as its tree too
+    x, y = (FiniteUltraSpace(s.labels, s.dist) for s in (x, y))
+    assert x._rows is None and y._rows is None
+    x.canonical_form()
+    x.spectrum()
+    na_distance(GHPoint(x), GHPoint(y))
+    assert x._rows is None and y._rows is None
+    assert x.quotient(ONE)._rows is None and x._rows is None
 
 
 def _ref_walk_encode(tree, floor):
@@ -698,7 +710,134 @@ def test_malformed_cpum_trees_are_refused():
 
 def test_well_formed_trees_are_accepted():
     chain = Dendrogram(ONE, None, (_leaf("a"), Dendrogram(HALF, None, (_leaf("b"), _leaf("c")))))
-    assert check_tree(["c", "b", "a"], chain) == ((0, HALF, 1), (HALF, 0, 1), (1, 1, 0))
+    assert check_tree(["c", "b", "a"], chain) is None
+    assert chain.rows(["c", "b", "a"]) == ((0, HALF, 1), (HALF, 0, 1), (1, 1, 0))
     zeros = Dendrogram(ONE, None, (_leaf("a"), Dendrogram(ZERO, None, (_leaf("b"), _leaf("c")))))
-    assert check_tree(["a", "b", "c"], zeros, allow_zero=True) == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
-    assert check_tree(["a"], _leaf("a")) == ((0,),)
+    assert check_tree(["a", "b", "c"], zeros, allow_zero=True) is None
+    assert zeros.rows(["a", "b", "c"]) == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+    assert check_tree(["a"], _leaf("a")) is None
+    assert _leaf("a").rows(["a"]) == ((0,),)
+
+
+def test_quotient_refuses_colliding_class_labels():
+    # the class {a+b, c} and the class {a, b+c} are both named a+b+c
+    space = FiniteUltraSpace(
+        ["a+b", "c", "a", "b+c"],
+        [["0", "1/2", "1", "1"], ["1/2", "0", "1", "1"], ["1", "1", "0", "1/2"], ["1", "1", "1/2", "0"]],
+    )
+    with pytest.raises(SpaceError) as err:
+        space.quotient(HALF)
+    assert str(err.value) == "quotient class labels collide; avoid '+' in point labels"
+
+
+def _ref_walk_tree(labels, tree, allow_zero, fill):
+    # reference: the one walk that checked a tree and, with ``fill``, filled its rows
+    n = len(labels)
+    index = dict(zip(labels, range(n)))
+    if len(index) != n:
+        raise SpaceError("point labels must be distinct")
+    rows = [[ZERO] * n for _ in range(n)] if fill else None
+    order = [tree]
+    for node in order:  # breadth first: parents before children
+        order.extend(node.children)
+    members = {}
+    for node in reversed(order):
+        children = node.children
+        if not children:
+            i = index.pop(node.label, None)
+            if i is None:
+                raise SpaceError(f"leaf {node.label!r} is not a point or appears twice")
+            members[node] = [i]
+            continue
+        scale = node.scale
+        if len(children) < 2:
+            raise SpaceError("an internal node needs at least two children")
+        if type(scale) is not Scale or scale._numerator < 0 or (scale._numerator == 0 and not allow_zero):
+            kind = "non-negative" if allow_zero else "positive"
+            raise SpaceError(f"node scale must be a {kind} Scale, got {scale!r}")
+        seen = []
+        for child in children:
+            if child.children and not child.scale < scale:
+                raise SpaceError(f"child scale {child.scale} is not below its parent's {scale}")
+            group = members.pop(child)
+            if fill:
+                for a in group:
+                    row = rows[a]
+                    for b in seen:
+                        row[b] = scale
+                        rows[b][a] = scale
+            seen += group
+        members[node] = seen
+    if index:
+        raise SpaceError(f"point {next(iter(index))!r} is not a leaf of the tree")
+    return tuple(map(tuple, rows)) if fill else None
+
+
+def _walk_agrees(labels, tree, allow_zero=False):
+    """Whether the reference walk accepts; check_tree raises exactly as it does."""
+    try:
+        _ref_walk_tree(labels, tree, allow_zero, fill=False)
+    except Exception as want:
+        with pytest.raises(Exception) as got:
+            check_tree(labels, tree, allow_zero=allow_zero)
+        assert (type(got.value), str(got.value)) == (type(want), str(want))
+        return False
+    assert check_tree(labels, tree, allow_zero=allow_zero) is None
+    assert tree.rows(labels) == _ref_walk_tree(labels, tree, allow_zero, fill=True)
+    return True
+
+
+def _copy_tree(tree):
+    made = {}
+    for node in reversed(tree.nodes()):
+        made[node] = Dendrogram(node.scale, node.label, tuple(made[c] for c in node.children))
+    return made[tree]
+
+
+def _defects(rng, tree):
+    """Copies of a well-formed tree, each with one defect the tree has room for."""
+    out = []
+    for kind, room in (
+        ("raised", lambda v: any(c.children for c in v.children)),
+        ("one child", lambda v: v.children),
+        ("plain Fraction", lambda v: v.children),
+        ("renamed", lambda v: v.is_leaf),
+        ("duplicated", lambda v: v.is_leaf),
+    ):
+        copy = _copy_tree(tree)
+        spots = [v for v in copy.nodes() if room(v)]
+        if len(spots) < (2 if kind == "duplicated" else 1):
+            continue
+        node = spots[rng.randrange(len(spots))]
+        if kind == "raised":  # a child scale raised to its parent's
+            rng.choice([c for c in node.children if c.children]).scale = node.scale
+        elif kind == "one child":
+            node.children = node.children[:1]
+        elif kind == "plain Fraction":
+            node.scale = Fraction(node.scale)
+        elif kind == "renamed":  # no generated point or cell is named x
+            node.label = "x"
+        else:
+            node.label = rng.choice([v for v in spots if v is not node]).label
+        out.append((kind, copy))
+    return out
+
+
+def test_check_tree_and_rows_match_the_one_walk():
+    rng, draw = spawn_rng(19, 0), random.Random(19)
+    trees = []
+    for _ in range(300):
+        space = gen_space(rng)
+        trees += [(q.labels, q.dendrogram(), False) for q in (space, *(space.quotient(u) for u in POOL))]
+        d = gen_cpum(rng)
+        trees += [(e.cells, e.dendrogram(), True) for e in (d, *(truncate(d, u) for u in POOL))]
+    kinds = {}
+    for labels, tree, allow_zero in trees:
+        assert _walk_agrees(labels, tree, allow_zero)
+        for kind, bad in _defects(draw, tree):
+            assert not _walk_agrees(labels, bad, allow_zero)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert len(kinds) == 5 and min(kinds.values()) > 100
+    table = next(m for m in test_malformed_trees_are_refused.pytestmark if m.name == "parametrize")
+    for labels, tree, allow_zero in table.args[1]:
+        assert not _walk_agrees(labels, tree, allow_zero)
