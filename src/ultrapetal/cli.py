@@ -1,7 +1,8 @@
 """Command-line front end: every operation on JSON files.
 
-Exit codes: 0 success, 1 parse or validation failure or a FAIL line in a
-``backforth`` or ``harness`` report, 2 inconsistent extension request.
+Exit codes: 0 success, 1 usage, parse or validation failure or a FAIL
+line in a ``backforth`` or ``harness`` report, 2 inconsistent extension
+request.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import model_f, model_gh, petal_harness
 from .extension import Inconsistent
 from .model_gh import GHPoint
 from .petal import MODELS
-from .scales import RangeSet, as_scale
+from .scales import RangeSet
 from .umspace import FiniteUltraSpace, NotPositive, NotSymmetric, NotUltrametric
 
 
@@ -43,7 +44,7 @@ def _parse_targets(text: str) -> list:
     data = _parse_json(text)
     if not isinstance(data, list):
         raise ValueError("targets must be a JSON array of scale strings")
-    return [as_scale(t) for t in data]
+    return data
 
 
 def _default_seed() -> int:
@@ -158,7 +159,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "quotient":
         space = _load_space(args.space)
-        print(json.dumps(space.quotient(as_scale(args.eps)).to_json(), indent=2))
+        print(json.dumps(space.quotient(args.eps).to_json(), indent=2))
         return 0
 
     if args.command == "canon":
@@ -179,7 +180,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as stop:
+        if stop.code == 2:  # a usage error: exit 2 means an inconsistent request
+            return 1
+        raise
     try:
         return _dispatch(args)
     except Inconsistent as err:

@@ -348,13 +348,21 @@ def _check_extension(ops: _Sampler, rng, t):
     points = [ops.gen(rng, pool=petal or POOL) for _ in range(count + 1)]
     omega, anchors = points[-1], points[:-1]
     targets = [ops.model.metric(omega, a) for a in anchors]
-    theta = ops.model.extend(anchors, targets)
+
+    def request(violated: str, **more) -> dict:
+        return {"violated": violated, "anchors": [a.to_json() for a in anchors],
+                "targets": [str(d) for d in targets], **more}
+
+    try:
+        theta = ops.model.extend(anchors, targets)
+    except Inconsistent as err:
+        i, j = err.indices
+        if i != j:  # two targets in conflict under the operator's metric: the metrics disagree
+            raise
+        # one target named twice: the placement missed a request found consistent
+        return request("rejected-realisable", pair=[i, j])
     if any(ops.model.metric(theta, a) != d for a, d in zip(anchors, targets)):
-        return {
-            "violated": "distance",
-            "anchors": [a.to_json() for a in anchors],
-            "targets": [str(d) for d in targets],
-        }
+        return request("distance")
     if petal is not None and not ops.model.in_petal(theta, petal):
         return {"violated": "petal-preservation", "S": petal.to_json()}
     return None
@@ -401,7 +409,11 @@ def _first_miss(space: FiniteUltraSpace, *copies: tuple[dict, Callable]) -> dict
 
 def _check_embed_f(ops: _Sampler, rng, t):
     space = gen_space(rng, max_points=10)
-    return _first_miss(space, (model_f.embed_space(space), model_f.delta))
+    try:  # a real space's distances are realisable: a rejection is a FAIL
+        images = model_f.embed_space(space)
+    except Inconsistent as err:
+        return {"space": space.to_json(), "rejected": list(err.indices)}
+    return _first_miss(space, (images, model_f.delta))
 
 
 def _check_canonical_maps(ops: _Sampler, rng, t):
@@ -415,8 +427,11 @@ def _check_canonical_maps(ops: _Sampler, rng, t):
 def _check_cross_model(ops: _Sampler, rng, t):
     # one space, embedded independently in both models, same matrix
     space = gen_space(rng, max_points=8)
-    f_images = model_f.embed_space(space)
-    m_images = embed(model_maps.one_point_extension, sorted(space.labels), space.d)
+    try:
+        f_images = model_f.embed_space(space)
+        m_images = embed(model_maps.one_point_extension, sorted(space.labels), space.d)
+    except Inconsistent as err:
+        return {"space": space.to_json(), "rejected": list(err.indices)}
     return _first_miss(space, (f_images, model_f.delta), (m_images, model_maps.nabla))
 
 

@@ -180,7 +180,7 @@ class RangeSet:
     def from_json(cls, data: object) -> "RangeSet":
         if not isinstance(data, list):
             raise ValueError("range set must be a JSON array of scale strings")
-        return cls(as_scale(e) for e in data)
+        return cls(data)
 
 
 def max_outside(trace: RangeSet, s: RangeSet) -> Fraction:

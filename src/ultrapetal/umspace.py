@@ -8,44 +8,52 @@ string deciding isometry.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .scales import RangeSet, Scale, ScaleLike, ZERO, as_scale
 
 
 class SpaceError(ValueError):
-    """A candidate distance matrix is not a finite ultrametric space."""
+    """A candidate distance matrix is not a finite ultrametric space.
+
+    ``indices`` holds the row indices of the failing entry or triple,
+    empty when the failure is not at one entry.
+    """
+
+    def __init__(self, message: str, *indices: int):
+        super().__init__(message)
+        self.indices = indices
 
 
 class NotSymmetric(SpaceError):
-    def __init__(self, i: int, j: int, message: str):
-        super().__init__(message)
-        self.indices = (i, j)
+    """d(i, j) != d(j, i); ``indices`` is (i, j)."""
 
 
 class NotPositive(SpaceError):
-    def __init__(self, i: int, j: int, message: str):
-        super().__init__(message)
-        self.indices = (i, j)
+    """A non-zero diagonal entry or a zero off-diagonal one; ``indices`` is (i, j)."""
 
 
 class NotUltrametric(SpaceError):
-    def __init__(self, i: int, j: int, k: int, message: str):
-        super().__init__(message)
-        self.indices = (i, j, k)
+    """d(i, j) > max(d(i, k), d(k, j)); ``indices`` is (i, j, k)."""
 
 
 def check_matrix(
     dist: Sequence[Sequence[ScaleLike]],
     names: Sequence[str],
     allow_zero: bool = False,
-) -> "Dendrogram | None":
-    """Validate a square matrix of scales as a (pseudo-)ultrametric.
+) -> "Dendrogram":
+    """Validate point labels and a square matrix of scales as a (pseudo-)ultrametric.
 
-    Returns its dendrogram, the leaves labelled by ``names`` (``None``
-    for an empty matrix).  ``allow_zero`` admits vanishing off-diagonal
-    entries (pseudo-ultrametrics).
+    The labels must be distinct strings, at least one; returns the
+    matrix's dendrogram, the leaves labelled by ``names``.  ``allow_zero``
+    admits vanishing off-diagonal entries (pseudo-ultrametrics).
     """
+    if any(not isinstance(name, str) for name in names):
+        raise ValueError("point labels must be strings")
+    if not names:
+        raise SpaceError("a space needs at least one point")
+    if len(set(names)) != len(names):
+        raise SpaceError("point labels must be distinct")
     n = len(names)
     if not isinstance(dist, (list, tuple)) or any(not isinstance(row, (list, tuple)) for row in dist):
         raise SpaceError("distance matrix must be a list of rows")
@@ -54,22 +62,13 @@ def check_matrix(
     rows = tuple(tuple(as_scale(v) for v in row) for row in dist)
     for i in range(n):
         if rows[i][i] != ZERO:
-            raise NotPositive(i, i, f"d({names[i]},{names[i]}) must be 0")
+            raise NotPositive(f"d({names[i]},{names[i]}) must be 0", i, i)
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
-                raise NotSymmetric(
-                    i, j, f"d({names[i]},{names[j]}) != d({names[j]},{names[i]})"
-                )
+                raise NotSymmetric(f"d({names[i]},{names[j]}) != d({names[j]},{names[i]})", i, j)
             if not allow_zero and rows[i][j] == ZERO:
-                raise NotPositive(
-                    i, j, f"d({names[i]},{names[j]}) must be positive"
-                )
-    if n == 0:
-        return None
-    tree = _build(rows, names)
-    if tree is None:
-        _first_violation(rows, names)
-    return tree
+                raise NotPositive(f"d({names[i]},{names[j]}) must be positive", i, j)
+    return _build(rows, names)
 
 
 def check_tree(labels: Sequence[str], tree: "Dendrogram", allow_zero: bool = False) -> None:
@@ -106,10 +105,8 @@ def check_tree(labels: Sequence[str], tree: "Dendrogram", allow_zero: bool = Fal
         raise SpaceError(f"point {next(iter(index))!r} is not a leaf of the tree")
 
 
-def _build(
-    rows: tuple[tuple[Fraction, ...], ...], labels: Sequence[str]
-) -> "Dendrogram | None":
-    """The dendrogram of a symmetric matrix, or None if it is not ultrametric.
+def _build(rows: tuple[tuple[Fraction, ...], ...], labels: Sequence[str]) -> "Dendrogram":
+    """The dendrogram of a symmetric matrix; raises NotUltrametric if it has none.
 
     A node's scale is the largest distance from its first point; its
     children are the classes of ``d < scale``.  Each pair is checked once,
@@ -134,7 +131,7 @@ def _build(
         seen: list[int] = []
         for group in groups.values():
             if any(rows[a][b] != scale for a in group for b in seen):
-                return None
+                _first_violation(rows, labels)
             seen.extend(group)
         node.scale = scale
         node.children = tuple(Dendrogram() for _ in groups)
@@ -142,7 +139,7 @@ def _build(
     return root
 
 
-def _first_violation(rows: tuple[tuple[Fraction, ...], ...], names: Sequence[str]) -> None:
+def _first_violation(rows: tuple[tuple[Fraction, ...], ...], names: Sequence[str]) -> NoReturn:
     """Raise NotUltrametric for the first violating triple in scan order.
 
     Scan order is i, then j > i, then k.  Pairs are swept in runs of equal
@@ -174,12 +171,10 @@ def _first_violation(rows: tuple[tuple[Fraction, ...], ...], names: Sequence[str
     ri, dij = rows[i], rows[i][j]
     k = next(k for k in range(n) if dij > max(ri[k], rows[k][j]))
     raise NotUltrametric(
-        i,
-        j,
-        k,
         "strong triangle inequality fails: "
         f"d({names[i]},{names[j]})={dij} > "
         f"d({names[i]},{names[k]})={ri[k]} v d({names[k]},{names[j]})={rows[k][j]}",
+        i, j, k,
     )
 
 
@@ -297,17 +292,10 @@ class FiniteUltraSpace:
     __slots__ = ("labels", "_rows", "_index", "_tree")
 
     def __init__(self, labels: Iterable[str], dist: Sequence[Sequence[ScaleLike]]):
-        labs = tuple(labels)
-        if any(not isinstance(label, str) for label in labs):
-            raise ValueError("point labels must be strings")
-        if not labs:
-            raise SpaceError("a space needs at least one point")
-        if len(set(labs)) != len(labs):
-            raise SpaceError("point labels must be distinct")
-        self.labels = labs
-        self._tree = check_matrix(dist, labs, allow_zero=False)
+        self.labels = tuple(labels)
+        self._tree = check_matrix(dist, self.labels)
         self._rows = None
-        self._index = {lab: i for i, lab in enumerate(labs)}
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     @classmethod
     def _from_tree(cls, labels: Sequence[str], tree: Dendrogram) -> "FiniteUltraSpace":

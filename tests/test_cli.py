@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrapetal import petal_harness
+from ultrapetal import extension, model_f, model_maps, petal_harness
 from ultrapetal.cli import main
 from ultrapetal.extension import Inconsistent
 from ultrapetal.petal import MAPS, MODELS
@@ -82,6 +82,21 @@ def test_dist_gh_matches_na(tmp_path, space_file, capsys):
     assert capsys.readouterr().out == expected == "1/2\n"
 
 
+# malformed inputs whose message is checked exactly as well
+NAMED_FAULTS = {
+    "repeated-prefix": (
+        ["dist", "--model", "maps", {"cells": [["0", "1"], ["0", "0"], ["1", "0"]]}, {"cells": [["", "0"]]}],
+        "duplicate cell prefix '0'",
+    ),
+    "string-cells": (
+        ["dist", "--model", "cpum", {"cells": "01", "dist": [["0"]]}, {"cells": [""], "dist": [["0"]]}],
+        "cells must be a JSON array of binary strings",
+    ),
+    # the label checks run inside check_matrix, ahead of the matrix's own
+    "no-points": (["validate", {"points": [], "dist": []}], "a space needs at least one point"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", {"points": ["a", "b"], "dist": [[0, 0.1], [0.1, 0]]}],
     ["validate", {"points": ["a", "b"], "dist": [[0, True], [True, 0]]}],
@@ -101,10 +116,11 @@ def test_dist_gh_matches_na(tmp_path, space_file, capsys):
     ["petal-dist", "--model", "f", {"support": []}, "--range", '["0", "1e3"]'],
     ["extend", "--model", "f", [{"support": []}], "--targets", '["+1"]'],
     ["quotient", SPACE, "--eps", " 1/2"],
+    *(argv for argv, _ in NAMED_FAULTS.values()),
 ], ids=["float-distance", "bool-distance", "string-points", "support-entry", "cpum-dist",
         "null-label", "number-prefixes", "number-cells", "missing-points", "two-by-one",
         "deep-range", "zero-denominator", "exponent-scale", "underscore-scale",
-        "fullwidth-scale", "exponent-range", "signed-targets", "space-eps"])
+        "fullwidth-scale", "exponent-range", "signed-targets", "space-eps", *NAMED_FAULTS])
 def test_malformed_input_exits_one(tmp_path, capsys, argv):
     # an exception escaping main would be a traceback at the command line;
     # only validate's axiom verdicts belong on stdout
@@ -114,6 +130,34 @@ def test_malformed_input_exits_one(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", NAMED_FAULTS.values(), ids=list(NAMED_FAULTS))
+def test_malformed_input_names_its_fault(tmp_path, capsys, argv, message):
+    args = [write(tmp_path, f"in{k}.json", a) if isinstance(a, (dict, list)) else a
+            for k, a in enumerate(argv)]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--model", "gh", "a.json", "--targets", "[]"],
+    ["dist", "--model", "nope", "a", "b"],
+    ["harness", "--model", "f", "--trials", "x"],
+], ids=["model-without-extension", "unknown-model", "non-integer-trials"])
+def test_usage_error_exits_one(capsys, argv):
+    # argparse exits 2 on its own; 2 is kept for an inconsistent extension request
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ultrapetal ") and "error: argument " in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ultrapetal ")
 
 
 def test_petal_dist_with_witness(tmp_path, capsys):
@@ -281,6 +325,50 @@ def test_backforth_rejected_extension_is_a_fail_line(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert " FAIL " in captured.out and "step=2 pair=(0, 1)" in captured.out
     assert captured.err == ""
+
+
+def _placing_at_anchor(metric, origin):
+    # a broken placement: the new point lands on anchor i*, so a request
+    # with no zero target is rejected, naming the first missed target twice
+    return lambda anchors, targets: extension.extend(
+        metric, origin, lambda anchors, want, m, i: anchors[i], anchors, targets
+    )
+
+
+def test_harness_rejected_realisable_request_is_a_fail_line(capsys, monkeypatch):
+    # the extension and embedding checks ask for the distances of real
+    # points, so a rejection is a broken operator: a FAIL line, not exit 2
+    broken = _placing_at_anchor(model_maps.nabla, model_maps.zero_function)
+    sampler = dataclasses.replace(petal_harness._MAPS, model=dataclasses.replace(MAPS, extend=broken))
+    monkeypatch.setitem(petal_harness.SAMPLERS, "maps", sampler)
+    monkeypatch.setattr(model_maps, "one_point_extension", broken)
+    cfg = petal_harness.TrialConfig(seed=7, trials=50)
+    ok, n, failure = petal_harness.run_property("maps", "one-point-extension", cfg)
+    assert not ok and n == 5
+    assert failure["violated"] == "rejected-realisable"
+    i, j = failure["pair"]
+    assert i == j < len(failure["anchors"]) == len(failure["targets"])
+    ok, n, failure = petal_harness.run_property("maps", "cross-model-embedding", cfg)
+    assert not ok
+    assert set(failure) == {"trial", "space", "rejected"} and failure["rejected"] == [0, 0]
+    assert main(["harness", "--model", "maps", "--seed", "7", "--trials", "50"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "one-point-extension extension_exact_preserving_rejecting FAIL trials=5 seed=7 counterexample=-" in lines
+    assert "cross-model-embedding embeddings_agree_across_models FAIL trials=2 seed=7 counterexample=-" in lines
+    assert sum(" FAIL " in line for line in lines) == 2
+    assert captured.err == ""
+
+
+def test_harness_rejected_embedding_is_a_fail_line(capsys, monkeypatch):
+    monkeypatch.setattr(model_f, "one_point_extension", _placing_at_anchor(model_f.delta, SupportMap))
+    ok, n, failure = petal_harness.run_property("f", "finite-embedding", petal_harness.TrialConfig(seed=7, trials=50))
+    assert not ok
+    assert set(failure) == {"trial", "space", "rejected"} and failure["rejected"] == [0, 0]
+    assert main(["harness", "--model", "f", "--seed", "7", "--trials", "50"]) == 1
+    captured = capsys.readouterr()
+    assert "finite-embedding embed_space_reproduces_matrix FAIL trials=5 seed=7 counterexample=-" in captured.out
+    assert captured.out.count(" FAIL ") == 1 and captured.err == ""
 
 
 def test_umu_seed_env_default(capsys, monkeypatch):

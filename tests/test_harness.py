@@ -95,6 +95,16 @@ def test_partial_isometry_detects_bad_pair():
         pairing.append_checked(b, b, 2, [])  # one distance per existing pair
 
 
+def test_partial_isometry_verify_names_the_first_broken_pair():
+    # the last two right points are swapped: d(0, 1) is 1 on the left, 1/2 on the right
+    left = [model_f.SupportMap(), model_f.SupportMap({"1": 1}), model_f.SupportMap({"1/2": 1})]
+    right = [left[0], left[2], left[1]]
+    pairing = PartialIsometry(left, right, model_f.delta, model_f.delta)
+    with pytest.raises(InvariantViolation) as err:
+        pairing.verify()
+    assert (err.value.step, err.value.pair) == (-1, (0, 1))
+
+
 def _ignores_targets(sampler):
     # the origin is returned unchecked, so extend's own verify_extension never runs
     origin = sampler.model.extend([], [])
