@@ -192,7 +192,7 @@ def _twin_gh(rng: random.Random, x: GHPoint) -> GHPoint:
 
 # ---------------------------------------------------------------------------
 # property checks; each runs one trial ``t`` and returns None on success
-# or a counterexample dict
+# or a counterexample dict, and run_property fails a trial that raises
 
 
 def _check_metric_axioms(ops: _Sampler, rng, t):
@@ -353,18 +353,11 @@ def _check_extension(ops: _Sampler, rng, t):
         return {"violated": violated, "anchors": [a.to_json() for a in anchors],
                 "targets": [str(d) for d in targets], **more}
 
-    try:
-        theta = ops.model.extend(anchors, targets)
-    except Inconsistent as err:
-        i, j = err.indices
-        if i != j:  # two targets in conflict under the operator's metric: the metrics disagree
-            raise
-        # one target named twice: the placement missed a request found consistent
-        return request("rejected-realisable", pair=[i, j])
+    theta = ops.model.extend(anchors, targets)
     if any(ops.model.metric(theta, a) != d for a, d in zip(anchors, targets)):
         return request("distance")
     if petal is not None and not ops.model.in_petal(theta, petal):
-        return {"violated": "petal-preservation", "S": petal.to_json()}
+        return request("petal-preservation", S=petal.to_json())
     return None
 
 
@@ -409,11 +402,7 @@ def _first_miss(space: FiniteUltraSpace, *copies: tuple[dict, Callable]) -> dict
 
 def _check_embed_f(ops: _Sampler, rng, t):
     space = gen_space(rng, max_points=10)
-    try:  # a real space's distances are realisable: a rejection is a FAIL
-        images = model_f.embed_space(space)
-    except Inconsistent as err:
-        return {"space": space.to_json(), "rejected": list(err.indices)}
-    return _first_miss(space, (images, model_f.delta))
+    return _first_miss(space, (model_f.embed_space(space), model_f.delta))
 
 
 def _check_canonical_maps(ops: _Sampler, rng, t):
@@ -427,11 +416,8 @@ def _check_canonical_maps(ops: _Sampler, rng, t):
 def _check_cross_model(ops: _Sampler, rng, t):
     # one space, embedded independently in both models, same matrix
     space = gen_space(rng, max_points=8)
-    try:
-        f_images = model_f.embed_space(space)
-        m_images = embed(model_maps.one_point_extension, sorted(space.labels), space.d)
-    except Inconsistent as err:
-        return {"space": space.to_json(), "rejected": list(err.indices)}
+    f_images = model_f.embed_space(space)
+    m_images = embed(model_maps.one_point_extension, sorted(space.labels), space.d)
     return _first_miss(space, (f_images, model_f.delta), (m_images, model_maps.nabla))
 
 
@@ -540,14 +526,21 @@ SAMPLERS = {ops.model.name: ops for ops in (_F, _MAPS, _CPUM, _GH)}
 
 
 def run_property(model: str, name: str, cfg: TrialConfig) -> tuple[bool, int, dict | None]:
-    """Run one named suite property; returns (passed, trials, counterexample with "trial")."""
+    """Run one named suite property; returns (passed, trials, counterexample with "trial").
+
+    A trial that raises fails with ``{"raised": type name, "message": text}``:
+    every run is deterministic, so the seed and the trial replay it.
+    """
     ops = SAMPLERS[model]
     for pidx, spec in enumerate(ops.suite):
         if spec.name == name or spec.tag == name:
             n = max(1, round(cfg.trials * spec.factor))
             rng = spawn_rng(cfg.seed, ops.salt, pidx)
             for t in range(n):
-                failure = spec.run(ops, rng, t)
+                try:
+                    failure = spec.run(ops, rng, t)
+                except Exception as err:
+                    failure = {"raised": type(err).__name__, "message": str(err)}
                 if failure is not None:
                     return False, n, {"trial": t, **failure}
             return True, n, None

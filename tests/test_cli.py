@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from ultrapetal import extension, model_f, model_maps, petal_harness
 from ultrapetal.cli import main
 from ultrapetal.extension import Inconsistent
-from ultrapetal.petal import MAPS, MODELS
-from ultrapetal.scales import as_scale
+from ultrapetal.petal import F, MAPS, MODELS
+from ultrapetal.scales import ZERO, as_scale
 from ultrapetal.model_f import SupportMap, delta
 from ultrapetal.model_maps import CantorFunction
 from ultrapetal.umspace import FiniteUltraSpace
@@ -345,12 +346,11 @@ def test_harness_rejected_realisable_request_is_a_fail_line(capsys, monkeypatch)
     cfg = petal_harness.TrialConfig(seed=7, trials=50)
     ok, n, failure = petal_harness.run_property("maps", "one-point-extension", cfg)
     assert not ok and n == 5
-    assert failure["violated"] == "rejected-realisable"
-    i, j = failure["pair"]
-    assert i == j < len(failure["anchors"]) == len(failure["targets"])
+    assert set(failure) == {"trial", "raised", "message"} and failure["raised"] == "Inconsistent"
+    assert re.match(r"targets (\d+) and \1 violate ", failure["message"])  # one target named twice
     ok, n, failure = petal_harness.run_property("maps", "cross-model-embedding", cfg)
     assert not ok
-    assert set(failure) == {"trial", "space", "rejected"} and failure["rejected"] == [0, 0]
+    assert failure == {"trial": 0, "raised": "Inconsistent", "message": str(Inconsistent(0, 0))}
     assert main(["harness", "--model", "maps", "--seed", "7", "--trials", "50"]) == 1
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
@@ -364,11 +364,65 @@ def test_harness_rejected_embedding_is_a_fail_line(capsys, monkeypatch):
     monkeypatch.setattr(model_f, "one_point_extension", _placing_at_anchor(model_f.delta, SupportMap))
     ok, n, failure = petal_harness.run_property("f", "finite-embedding", petal_harness.TrialConfig(seed=7, trials=50))
     assert not ok
-    assert set(failure) == {"trial", "space", "rejected"} and failure["rejected"] == [0, 0]
+    assert failure == {"trial": 1, "raised": "Inconsistent", "message": str(Inconsistent(0, 0))}
     assert main(["harness", "--model", "f", "--seed", "7", "--trials", "50"]) == 1
     captured = capsys.readouterr()
     assert "finite-embedding embed_space_reproduces_matrix FAIL trials=5 seed=7 counterexample=-" in captured.out
     assert captured.out.count(" FAIL ") == 1 and captured.err == ""
+
+
+def _off_at_one_target(anchors, targets):
+    # the least target m, when one anchor alone has it: that anchor cut
+    # below m is still at every larger target, but nearer than m to it
+    theta = model_f.one_point_extension(anchors, targets)
+    m = min(targets, default=ZERO)
+    if m == ZERO or targets.count(m) > 1:
+        return theta
+    return SupportMap((k, v) for k, v in anchors[targets.index(m)].entries if k >= m)
+
+
+def _outside_petal(anchors, targets):
+    # a key at 1/8, below every positive scale the harness draws: the
+    # distances stay, but no drawn range set holds the key
+    theta = model_f.one_point_extension(anchors, targets)
+    if min(targets, default=ZERO) == ZERO:
+        return theta
+    return SupportMap(theta.entries + (("1/8", 1),))
+
+
+def _never_rejecting(anchors, targets):
+    try:
+        return model_f.one_point_extension(anchors, targets)
+    except Inconsistent:
+        return SupportMap()
+
+
+def _raising(anchors, targets):
+    raise RuntimeError("placement lost")
+
+
+@pytest.mark.parametrize("broken, key, value, more", [
+    (_off_at_one_target, "violated", "distance", {"anchors", "targets"}),
+    (_outside_petal, "violated", "petal-preservation", {"anchors", "targets", "S"}),
+    (_never_rejecting, "violated", "missing-rejection", {"x", "y"}),
+    (_raising, "raised", "RuntimeError", {"message"}),
+])
+def test_harness_extension_fault_is_a_dumped_fail_line(broken, key, value, more, tmp_path, capsys, monkeypatch):
+    # every way a one-point extension on f can be wrong reaches the report
+    # as one FAIL line, and its counterexample file holds the record
+    sampler = dataclasses.replace(petal_harness._F, model=dataclasses.replace(F, extend=broken))
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", sampler)
+    cfg = petal_harness.TrialConfig(seed=7, trials=50)
+    ok, n, failure = petal_harness.run_property("f", "one-point-extension", cfg)
+    assert not ok and n == 5 and failure[key] == value and set(failure) == {"trial", key, *more}
+    assert main(["harness", "--model", "f", "--seed", "7", "--trials", "50", "--dump-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    dump = tmp_path / "f_extension_exact_preserving_rejecting.json"
+    fail_line = f"one-point-extension extension_exact_preserving_rejecting FAIL trials=5 seed=7 counterexample={dump}"
+    assert fail_line in captured.out.splitlines() and captured.out.count(" FAIL ") == 1
+    assert captured.err == ""
+    assert json.loads(dump.read_text()) == failure
+    assert [path.name for path in tmp_path.iterdir()] == [dump.name]
 
 
 def test_umu_seed_env_default(capsys, monkeypatch):

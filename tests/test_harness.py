@@ -381,7 +381,7 @@ def _halved_above_one(metric):
 def test_pinned_failure_path():
     # against a broken model (distances above 1 halved, truncation the
     # identity) the suites fail; the digest pins every counterexample,
-    # and every exception a property raises, by type and message
+    # a raised exception's type and message among them
     saved = [(m, m.metric, m.truncate) for m in MODELS.values()]
     try:
         for m, metric, _ in saved:
@@ -391,17 +391,14 @@ def test_pinned_failure_path():
         table = {}
         for model, ops in SAMPLERS.items():
             for spec in ops.suite:
-                try:
-                    table[f"{model}/{spec.tag}"] = list(run_property(model, spec.name, cfg))
-                except Exception as err:
-                    table[f"{model}/{spec.tag}"] = {"raised": type(err).__name__, "message": str(err)}
+                table[f"{model}/{spec.tag}"] = list(run_property(model, spec.name, cfg))
     finally:
         for m, metric, truncate in saved:
             object.__setattr__(m, "metric", metric)
             object.__setattr__(m, "truncate", truncate)
-    failed = [key for key, result in table.items() if not (isinstance(result, list) and result[0])]
+    failed = [key for key, result in table.items() if not result[0]]
     assert len(table) == 42 and len(failed) == 15
-    assert _sha256(table) == "3501bd9c84dee66c36a6d0c8d4341f9bc9e0ae63cb40f1d27c3121116fa020fc"
+    assert _sha256(table) == "e02342ed6191523e13b8e52803f311a8f13356214c2d33857803d79ec9e16125"
 
 
 def _embed_f_by_hand(space, images):
