@@ -69,29 +69,15 @@ def merge_equal_siblings(keys: Sequence[str], values: Mapping[str, V]) -> tuple[
     return tuple(merged), tuple(held)
 
 
-def refinement(keysets: Iterable[Sequence[str]]) -> list[str]:
-    """Common refinement of complete prefix-free partitions.
-
-    The refinement cells are exactly the keys of the union that no other
-    key of the union properly extends.
-    """
-    merged = sorted(set().union(*[set(ks) for ks in keysets]))
-    out: list[str] = []
-    for pos, key in enumerate(merged):
-        if pos + 1 == len(merged) or not merged[pos + 1].startswith(key):
-            out.append(key)
-    return out
-
-
 def align(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
-    """Owner indices of the common refinement of two partitions, in one merge.
+    """Owner indices in ``a`` and in ``b`` of each cell of their common refinement.
 
-    Both sequences must be sorted, complete and prefix-free.  The result
-    equals ``(cell_owners(r, a), cell_owners(r, b))`` with
-    ``r = refinement((a, b))``, in O(len(a) + len(b)) steps.  The two
-    current cells share their left endpoint, so one is a prefix of the
-    other: the longer one is the refined cell and advances, and the
-    shorter one advances once the next key no longer extends it.
+    Both sequences must be sorted, complete and prefix-free.  The refined
+    cells come in sorted order, and each is listed by the index of the
+    cell of ``a`` and of ``b`` containing it, in O(len(a) + len(b)) steps.
+    The two current cells share their left endpoint, so one is a prefix
+    of the other: the longer one is the refined cell and advances, and
+    the shorter one advances once the next key no longer extends it.
     ``model_maps.nabla`` runs the same merge inline.
     """
     oa: list[int] = []
@@ -114,19 +100,3 @@ def align(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
             if i == na or not a[i].startswith(kb):
                 j += 1
     return oa, ob
-
-
-def cell_owners(refined: Sequence[str], prefixes: Sequence[str]) -> list[int]:
-    """Index into ``prefixes`` of the cell containing each refined cell.
-
-    Both sequences must be lexicographically sorted; the owner of a
-    refined cell is the last prefix that is <= it.
-    """
-    owners: list[int] = []
-    i = 0
-    last = len(prefixes) - 1
-    for cell in refined:
-        while i < last and prefixes[i + 1] <= cell:
-            i += 1
-        owners.append(i)
-    return owners

@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dump-dir", default=None,
-                   help="directory for counterexample files (written only on failure)")
+                   help="directory for counterexample files, made with its parents on the first failure")
 
     return parser
 

@@ -562,6 +562,7 @@ def run_axiom_suite(model: str, cfg: TrialConfig, dump_dir: str | None = None) -
             path = "-"
             if dump_dir is not None:
                 target = Path(dump_dir) / f"{model}_{spec.name}.json"
+                target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(json.dumps(failure, indent=2) + "\n")
                 path = str(target)
             lines.append(
@@ -575,9 +576,9 @@ def run_axiom_suite(model: str, cfg: TrialConfig, dump_dir: str | None = None) -
 
 
 class InvariantViolation(Exception):
-    """An extension operator is wrong: it broke the isometry or rejected real distances."""
+    """An extension operator is wrong: it broke the isometry, or rejected or raised on real distances."""
 
-    def __init__(self, step: int, pair: tuple[int, int]):
+    def __init__(self, step: int, pair: tuple[int, ...]):
         self.step = step
         self.pair = pair
         super().__init__(f"partial isometry broken at step {step}, pair {pair}")
@@ -624,15 +625,16 @@ def _mirror_fresh_point(pairing: PartialIsometry, gen: Callable, extend: Callabl
     """Draw a left point and add it with its image, a one-point extension at its distances.
 
     The distances are those of a real point, so they are always
-    consistent: an extension that rejects them is broken, and its
-    Inconsistent becomes an InvariantViolation at this step.
+    consistent: an extension that rejects them or raises is broken, and
+    its exception becomes an InvariantViolation at this step, naming the
+    pair of an Inconsistent and no pair otherwise.
     """
     x = gen(rng)
     dists = [pairing.left_metric(x, p) for p in pairing.left]
     try:
         y = extend(pairing.right, dists)
-    except Inconsistent as err:
-        raise InvariantViolation(step, err.indices) from err
+    except Exception as err:
+        raise InvariantViolation(step, getattr(err, "indices", ())) from err
     pairing.append_checked(x, y, step, dists)
 
 

@@ -425,10 +425,64 @@ def test_harness_extension_fault_is_a_dumped_fail_line(broken, key, value, more,
     assert [path.name for path in tmp_path.iterdir()] == [dump.name]
 
 
+def test_harness_makes_a_missing_dump_dir_on_the_first_failure(tmp_path, capsys, monkeypatch):
+    # the nested directory is made with its parents by the first dump, so
+    # the report is printed in full; a passing run makes nothing
+    dump_dir = tmp_path / "new" / "deeper"
+    argv = ["harness", "--model", "f", "--seed", "7", "--trials", "20", "--dump-dir", str(dump_dir)]
+    assert main(argv) == 0
+    assert " FAIL " not in capsys.readouterr().out and not (tmp_path / "new").exists()
+    sampler = dataclasses.replace(petal_harness._F, model=dataclasses.replace(F, extend=_raising))
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", sampler)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    dump = dump_dir / "f_extension_exact_preserving_rejecting.json"
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 + len(sampler.suite)
+    assert f"one-point-extension extension_exact_preserving_rejecting FAIL trials=2 seed=7 counterexample={dump}" in lines
+    assert captured.out.count(" FAIL ") == 1 and captured.err == ""
+    assert json.loads(dump.read_text())["raised"] == "RuntimeError"
+    assert [path.name for path in dump_dir.iterdir()] == [dump.name]
+
+
+@pytest.mark.parametrize("kind", [ValueError, TypeError])
+@pytest.mark.parametrize("side, model, step", [("_F", F, 1), ("_MAPS", MAPS, 0)], ids=["left-f", "right-maps"])
+def test_backforth_extension_fault_is_a_fail_line(kind, side, model, step, capsys, monkeypatch):
+    # any exception from either side's extension is a broken operator: a
+    # FAIL line naming the step and, as the fault names no targets, no pair
+    def raising(anchors, targets):
+        raise kind("bad placement")
+
+    sampler = dataclasses.replace(getattr(petal_harness, side), model=dataclasses.replace(model, extend=raising))
+    monkeypatch.setattr(petal_harness, side, sampler)
+    assert main(["backforth", "--seed", "7", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"# backforth seed=7 trials=5 generator={petal_harness.GENERATOR_NAME}",
+        f"back-and-forth partial_isometry_each_step FAIL trials=5 seed=7 step={step} pair=()",
+    ]
+    assert captured.err == ""
+
+
 def test_umu_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("UMU_SEED", "77")
-    assert main(["backforth", "--trials", "2"]) == 0
-    assert "seed=77" in capsys.readouterr().out
+    # UMU_SEED is the seed of backforth and harness when --seed is not given
+    for argv in (["backforth", "--trials", "5"], ["harness", "--model", "maps", "--trials", "10"]):
+        monkeypatch.delenv("UMU_SEED", raising=False)
+        reports = {}
+        for seed in ("7", "8"):
+            assert main(argv + ["--seed", seed]) == 0
+            reports[seed] = capsys.readouterr().out
+        monkeypatch.setenv("UMU_SEED", "7")
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == reports["7"] and " seed=7 " in out
+        assert main(argv + ["--seed", "8"]) == 0  # --seed overrides the variable
+        assert capsys.readouterr().out == reports["8"]
+        monkeypatch.setenv("UMU_SEED", "abc")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
 
 def test_emitted_files_reparse_to_equal_values(tmp_path, capsys):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ultrapetal.cells import cell_owners, check_prefixes, refinement
+from cell_oracle import cell_owners, refinement
+from ultrapetal.cells import check_prefixes
 from ultrapetal.model_cpum import (
     CantorPseudoUltrametric,
     trace,

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ultrapetal.cells import align, cell_owners, check_prefixes, merge_equal_siblings, refinement
+from cell_oracle import cell_owners, refinement
+from ultrapetal.cells import align, check_prefixes, merge_equal_siblings
 from ultrapetal.extension import Inconsistent
 from ultrapetal.model_maps import (
     CantorFunction,

@@ -41,7 +41,9 @@ finally:
     trace.uninstall()
 """
 
+# traced names the package no longer defines: the tracer skips them with a warning
 KNOWN_MISSING = {f"model_{m}.petal_distance" for m in ("f", "maps", "cpum", "gh")}
+KNOWN_MISSING |= {"cells.refinement", "cells.cell_owners"}
 
 
 def test_tracer_rebinds_every_traced_function():
