@@ -171,6 +171,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         cfg = petal_harness.TrialConfig(seed=seed, trials=args.trials)
         if args.command == "backforth":
             report = petal_harness.backforth_report(cfg)
+        elif args.dump_dir and os.path.exists(args.dump_dir) and not os.path.isdir(args.dump_dir):
+            raise ValueError(f"--dump-dir {args.dump_dir} is not a directory")
         else:
             report = petal_harness.run_axiom_suite(args.model, cfg, dump_dir=args.dump_dir)
         sys.stdout.write(report)

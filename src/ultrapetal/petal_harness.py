@@ -576,7 +576,7 @@ def run_axiom_suite(model: str, cfg: TrialConfig, dump_dir: str | None = None) -
 
 
 class InvariantViolation(Exception):
-    """An extension operator is wrong: it broke the isometry, or rejected or raised on real distances."""
+    """An operator raised at a back-and-forth step (generator, metric or extension), or an image missed."""
 
     def __init__(self, step: int, pair: tuple[int, ...]):
         self.step = step
@@ -621,35 +621,27 @@ class PartialIsometry:
                     raise InvariantViolation(-1, (i, j))
 
 
-def _mirror_fresh_point(pairing: PartialIsometry, gen: Callable, extend: Callable, rng, step: int) -> None:
-    """Draw a left point and add it with its image, a one-point extension at its distances.
-
-    The distances are those of a real point, so they are always
-    consistent: an extension that rejects them or raises is broken, and
-    its exception becomes an InvariantViolation at this step, naming the
-    pair of an Inconsistent and no pair otherwise.
-    """
-    x = gen(rng)
-    dists = [pairing.left_metric(x, p) for p in pairing.left]
-    try:
-        y = extend(pairing.right, dists)
-    except Exception as err:
-        raise InvariantViolation(step, getattr(err, "indices", ())) from err
-    pairing.append_checked(x, y, step, dists)
-
-
 def _extend_both_ways(pairing: PartialIsometry, left: _Sampler, right: _Sampler, rng, rounds: int) -> None:
     """``rounds`` rounds, each mirroring a fresh point one way, then the other.
 
-    A fresh left point is mirrored to the right through a one-point
-    extension at its exact distances, then a fresh right point is
-    mirrored back through a swapped view sharing the pairing's lists;
-    every image is re-verified against the whole pairing.
+    Even steps draw a left point and append it with its image, a one-point
+    extension at its exact distances; odd steps do the same through a
+    swapped view sharing the pairing's lists.  Real distances are always
+    consistent, so any exception at a step is a broken operator: an
+    InvariantViolation at that step, naming an Inconsistent's pair, else none.
     """
     swapped = PartialIsometry(pairing.right, pairing.left, pairing.right_metric, pairing.left_metric)
-    for k in range(rounds):
-        _mirror_fresh_point(pairing, left.gen, right.model.extend, rng, 2 * k)
-        _mirror_fresh_point(swapped, right.gen, left.model.extend, rng, 2 * k + 1)
+    ways = ((pairing, left, right), (swapped, right, left))
+    for step in range(2 * rounds):
+        view, source, target = ways[step % 2]
+        try:
+            x = source.gen(rng)
+            dists = [view.left_metric(x, p) for p in view.left]
+            view.append_checked(x, target.model.extend(view.right, dists), step, dists)
+        except InvariantViolation:
+            raise
+        except Exception as err:
+            raise InvariantViolation(step, getattr(err, "indices", ())) from err
 
 
 def back_and_forth(cfg: TrialConfig) -> PartialIsometry:
@@ -659,7 +651,7 @@ def back_and_forth(cfg: TrialConfig) -> PartialIsometry:
     constant model, then mirrors a fresh locally constant function back.
     """
     rng = spawn_rng(cfg.seed, 1)
-    pairing = PartialIsometry([], [], F.metric, MAPS.metric)
+    pairing = PartialIsometry([], [], _F.model.metric, _MAPS.model.metric)
     _extend_both_ways(pairing, _F, _MAPS, rng, cfg.trials)
     return pairing
 
@@ -691,6 +683,7 @@ def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int) -> PartialIsometry
 
 
 def backforth_report(cfg: TrialConfig) -> str:
+    """A header and one PASS line, or a FAIL line naming the failed step and its pair."""
     header = f"# backforth seed={cfg.seed} trials={cfg.trials} generator={GENERATOR_NAME}"
     try:
         pairing = back_and_forth(cfg)

@@ -445,15 +445,42 @@ def test_harness_makes_a_missing_dump_dir_on_the_first_failure(tmp_path, capsys,
     assert [path.name for path in dump_dir.iterdir()] == [dump.name]
 
 
-@pytest.mark.parametrize("kind", [ValueError, TypeError])
-@pytest.mark.parametrize("side, model, step", [("_F", F, 1), ("_MAPS", MAPS, 0)], ids=["left-f", "right-maps"])
-def test_backforth_extension_fault_is_a_fail_line(kind, side, model, step, capsys, monkeypatch):
-    # any exception from either side's extension is a broken operator: a
-    # FAIL line naming the step and, as the fault names no targets, no pair
-    def raising(anchors, targets):
-        raise kind("bad placement")
+def test_harness_refuses_a_dump_dir_that_is_a_file(tmp_path, capsys, monkeypatch):
+    # refused before any property runs, so no report is cut short by the
+    # first dump, and the file is left as it was; a passing run exits 1 too
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    argv = ["harness", "--model", "f", "--seed", "7", "--trials", "20", "--dump-dir", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: --dump-dir {path} is not a directory\n")
+    calls = []
+    broken = petal_harness.PropertySpec(
+        "metric-axioms", "always_fails", 1.0, lambda ops, rng, t: calls.append(t) or {"reason": "forced"},
+    )
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", dataclasses.replace(petal_harness._F, suite=(broken,)))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: --dump-dir {path} is not a directory\n")
+    assert calls == [] and path.read_text() == "kept\n"
 
-    sampler = dataclasses.replace(getattr(petal_harness, side), model=dataclasses.replace(model, extend=raising))
+
+@pytest.mark.parametrize("kind", [ValueError, TypeError])
+@pytest.mark.parametrize("side, op, step", [
+    ("_F", "extend", 1), ("_MAPS", "extend", 0),
+    ("_F", "metric", 1), ("_MAPS", "metric", 1),
+    ("_F", "gen", 0), ("_MAPS", "gen", 1),
+], ids=["left-f", "right-maps", "left-f-metric", "right-maps-metric", "left-f-gen", "right-maps-gen"])
+def test_backforth_extension_fault_is_a_fail_line(kind, side, op, step, capsys, monkeypatch):
+    # any exception from either side's generator, metric or extension is a
+    # broken operator: a FAIL line naming the step and, as the fault names
+    # no targets, no pair
+    def raising(*args):
+        raise kind("bad operator")
+
+    sampler = getattr(petal_harness, side)
+    if op == "gen":
+        sampler = dataclasses.replace(sampler, gen=raising)
+    else:
+        sampler = dataclasses.replace(sampler, model=dataclasses.replace(sampler.model, **{op: raising}))
     monkeypatch.setattr(petal_harness, side, sampler)
     assert main(["backforth", "--seed", "7", "--trials", "5"]) == 1
     captured = capsys.readouterr()
