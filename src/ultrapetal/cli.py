@@ -8,6 +8,7 @@ request.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,10 +48,16 @@ def _parse_targets(text: str) -> list:
     return data
 
 
+def _nearest_existing(path: str) -> Path:
+    """``path`` if it exists, else its nearest existing ancestor (itself when there is none)."""
+    return next((p for p in (Path(path), *Path(path).parents) if os.path.exists(p)), Path(path))
+
+
 def _default_seed() -> int:
     return int(os.environ.get("UMU_SEED", "0"))
 
 
+@functools.cache  # built on the first request, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultrapetal",
@@ -171,7 +178,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         cfg = petal_harness.TrialConfig(seed=seed, trials=args.trials)
         if args.command == "backforth":
             report = petal_harness.backforth_report(cfg)
-        elif args.dump_dir and os.path.exists(args.dump_dir) and not os.path.isdir(args.dump_dir):
+        elif args.dump_dir and not _nearest_existing(args.dump_dir).is_dir():
             raise ValueError(f"--dump-dir {args.dump_dir} is not a directory")
         else:
             report = petal_harness.run_axiom_suite(args.model, cfg, dump_dir=args.dump_dir)

@@ -37,6 +37,18 @@ class NotUltrametric(SpaceError):
     """d(i, j) > max(d(i, k), d(k, j)); ``indices`` is (i, j, k)."""
 
 
+class _Parsed(dict):
+    """Entry string to ``Scale``, filled by ``as_scale`` on a miss; one per matrix.
+
+    Keyed by exact ``str`` only: ``True`` would find the entry of ``1``,
+    and hashing a ``Fraction`` key costs a modular pow.
+    """
+
+    def __missing__(self, text: str) -> Scale:
+        self[text] = scale = as_scale(text)
+        return scale
+
+
 def check_matrix(
     dist: Sequence[Sequence[ScaleLike]],
     names: Sequence[str],
@@ -59,14 +71,15 @@ def check_matrix(
         raise SpaceError("distance matrix must be a list of rows")
     if len(dist) != n or any(len(row) != n for row in dist):
         raise SpaceError(f"distance matrix must be {n}x{n}")
-    rows = tuple(tuple(as_scale(v) for v in row) for row in dist)
+    parsed = _Parsed()  # each distinct string parsed once, its entries share one Scale
+    rows = tuple(tuple([parsed[v] if type(v) is str else as_scale(v) for v in row]) for row in dist)
     for i in range(n):
         if rows[i][i] != ZERO:
             raise NotPositive(f"d({names[i]},{names[i]}) must be 0", i, i)
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if rows[i][j] is not rows[j][i] and rows[i][j] != rows[j][i]:
                 raise NotSymmetric(f"d({names[i]},{names[j]}) != d({names[j]},{names[i]})", i, j)
-            if not allow_zero and rows[i][j] == ZERO:
+            if not allow_zero and rows[i][j]._numerator == 0:
                 raise NotPositive(f"d({names[i]},{names[j]}) must be positive", i, j)
     return _build(rows, names)
 
@@ -130,7 +143,7 @@ def _build(rows: tuple[tuple[Fraction, ...], ...], labels: Sequence[str]) -> "De
                 groups[q] = [q]
         seen: list[int] = []
         for group in groups.values():
-            if any(rows[a][b] != scale for a in group for b in seen):
+            if any((x := rows[a][b]) is not scale and x != scale for a in group for b in seen):
                 _first_violation(rows, labels)
             seen.extend(group)
         node.scale = scale

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrapetal import extension, model_f, model_maps, petal_harness
+from ultrapetal import cli, extension, model_f, model_maps, petal_harness
 from ultrapetal.cli import main
 from ultrapetal.extension import Inconsistent
 from ultrapetal.petal import F, MAPS, MODELS
@@ -159,6 +159,47 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert stop.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ultrapetal ")
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_request(tmp_path, space_file, monkeypatch):
+    # the parser is built once per process; a usage error, a help page and
+    # every subcommand through it read exactly as through a fresh parser
+    element = write(tmp_path, "x.json", {"support": [["1", 1], ["1/3", 2]]})
+    anchors = write(tmp_path, "anchors.json", [{"support": []}, {"support": [["1", 1]]}])
+    requests = [
+        ["dist", "--model", "nope", "a", "b"],
+        ["--help"],
+        ["validate", space_file],
+        ["dist", "--model", "f", element, element],
+        ["petal-dist", "--model", "f", element, "--range", '["0","1"]'],
+        ["extend", "--model", "f", anchors, "--targets", '["1/2","1"]'],
+        ["embed", space_file],
+        ["na", space_file, space_file],
+        ["quotient", space_file, "--eps", "1/2"],
+        ["canon", space_file],
+        ["backforth", "--seed", "5", "--trials", "3"],
+        ["harness", "--model", "cpum", "--seed", "5", "--trials", "5"],
+        ["quotient", "--help"],
+        [],
+        ["harness", "--model", "f", "--trials", "x"],
+        ["extend", "--model", "f", anchors, "--targets", '["1/4","1/4"]'],
+    ]
+    cached = [_run(argv) for argv in requests]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert [_run(argv) for argv in requests] == cached
+    assert [code for code, _, _ in cached] == [1] + [0] * 12 + [1, 1, 2]
 
 
 def test_petal_dist_with_witness(tmp_path, capsys):
@@ -461,6 +502,26 @@ def test_harness_refuses_a_dump_dir_that_is_a_file(tmp_path, capsys, monkeypatch
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: --dump-dir {path} is not a directory\n")
     assert calls == [] and path.read_text() == "kept\n"
+
+
+def test_harness_refuses_a_dump_dir_below_a_file(tmp_path, capsys, monkeypatch):
+    # no directory can be made below a file, so the nearest existing
+    # ancestor decides up front, before a failing property's first dump
+    # could cut the report short
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    calls = []
+    broken = petal_harness.PropertySpec(
+        "metric-axioms", "always_fails", 1.0, lambda ops, rng, t: calls.append(t) or {"reason": "forced"},
+    )
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", dataclasses.replace(petal_harness._F, suite=(broken,)))
+    monkeypatch.chdir(tmp_path)
+    for dump_dir in (str(path / "sub"), str(path / "sub" / "deeper"), "taken/sub", "./taken/sub/.."):
+        argv = ["harness", "--model", "f", "--seed", "7", "--trials", "20", "--dump-dir", dump_dir]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: --dump-dir {dump_dir} is not a directory\n")
+    assert calls == [] and path.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 @pytest.mark.parametrize("kind", [ValueError, TypeError])

@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import random
 import time
 from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -350,6 +352,100 @@ def test_deep_chain_needs_no_recursion():
     _assert_same_space(q, FiniteUltraSpace(q.labels, q.dist))
     assert na_distance(GHPoint(space), GHPoint(q)) == eps
     _assert_same_space(_space_of(space.dendrogram()), space)
+
+
+# The parse table and the identity-first compares of check_matrix, against
+# the un-tabled path: the same matrix with every entry coerced by as_scale
+# beforehand, so no two entries share a Scale unless the caller shares it.
+
+_SPACEGEN = importlib.util.spec_from_file_location(
+    "spacegen", Path(__file__).resolve().parent.parent / "perfbench" / "spacegen.py")
+spacegen = importlib.util.module_from_spec(_SPACEGEN)
+_SPACEGEN.loader.exec_module(spacegen)
+
+
+def _outcome(dist, labels, allow_zero):
+    try:
+        tree = check_matrix(dist, labels, allow_zero=allow_zero)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "indices", None)
+    return tree.encode(), tree.rows(labels)
+
+
+def _assert_matches_untabled(dist, labels, allow_zero=False):
+    try:
+        coerced = [[as_scale(v) for v in row] for row in dist]
+    except ValueError as err:  # the first bad entry in row-major order
+        want = (ValueError, str(err), None)
+    else:
+        want = _outcome(coerced, labels, allow_zero)
+    got = _outcome(dist, labels, allow_zero)
+    assert got == want
+    return got
+
+
+def _spellings(v):
+    """Strings and objects that as_scale reads as the scale v."""
+    n, d = v.numerator, v.denominator
+    out = [str(v), f"{3 * n}/{3 * d}", v]
+    if d == 1:
+        out += [n, f"{n}.0", f"{n}/1"]
+    if 1000 % d == 0:
+        m = n * (1000 // d)
+        out.append(f"{m // 1000}.{m % 1000:03d}")
+    return out
+
+
+def test_distinct_spellings_of_one_value_compare_equal():
+    half = ["1/2", "2/4", "0.5", "0.50", Fraction(1, 2)]
+    labels = ["a", "b", "c"]
+    for x, y in [(a, b) for a in half for b in half]:
+        # asymmetric spellings across the diagonal and inside one group
+        dist = [["0", x, "1"], [y, 0, "1.0"], ["1", 1, "0.0"]]
+        assert _assert_matches_untabled(dist, labels)[0] == "(1;(1/2;*,*),*)"
+    dist = [["0", "1/2", "1/2"], ["2/4", "0", "0.5"], ["0.50", "1/2", "0"]]
+    assert _assert_matches_untabled(dist, labels)[0] == "(1/2;*,*,*)"
+    # a spelling of another value is still told apart
+    want = (NotSymmetric, "d(a,b) != d(b,a)", (0, 1))
+    assert _assert_matches_untabled([["0", "1/2"], ["1/3", "0"]], ["a", "b"]) == want
+    assert _assert_matches_untabled([["0", "1/2"], ["0.51", "0"]], ["a", "b"]) == want
+
+
+@pytest.mark.parametrize("bad", [True, 0.1, "-1", "1/0"])
+def test_bad_entries_fail_as_untabled_at_every_position(bad):
+    base = [["0", "1/2", 1], ["1/2", 0, "1"], [1, "1", "0"]]  # an int 1 ahead of True
+    for i, j in [(i, j) for i in range(3) for j in range(3)]:
+        dist = [row[:] for row in base]
+        dist[i][j] = bad
+        got = _assert_matches_untabled(dist, ["a", "b", "c"])
+        assert got[0] is ValueError and repr(bad) in got[1]
+        # a repeated bad entry, and a bad one behind a good copy of its spelling
+        dist[2 - i][2 - j] = bad
+        assert _assert_matches_untabled(dist, ["a", "b", "c"]) == got
+        dist[2 - i][2 - j] = "1/0" if bad == "-1" else "-1"
+        _assert_matches_untabled(dist, ["a", "b", "c"])
+
+
+def test_generated_matrices_match_untabled():
+    # the benchmark's dendrogram and chain inputs, each entry spelt at
+    # random, half of them with one symmetric pair changed or broken
+    rng = random.Random(24)
+    verdicts = set()
+    for t in range(300):
+        n = rng.randint(2, 24)
+        rows = (spacegen.chain_rows if t % 3 == 0 else spacegen.dendrogram_rows)(rng, n)
+        if t % 4 == 1:
+            rows = spacegen.break_entry(rng, rows)
+        elif t % 4 == 2:
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = rng.choice(spacegen.spectrum(rows)) / rng.choice([1, 2])
+        dist = [[rng.choice(_spellings(v)) for v in row] for row in rows]
+        if t % 8 == 3:
+            i, j = rng.sample(range(n), 2)
+            dist[i][j] = rng.choice(_spellings(rows[i][j] + 1))
+        got = _assert_matches_untabled(dist, [f"p{i}" for i in range(n)], allow_zero=t % 5 == 0)
+        verdicts.add(got[0] if isinstance(got[0], type) else str)
+    assert verdicts == {str, NotSymmetric, NotUltrametric}
 
 
 # Reference oracles for the tree path: the matrix-built quotient,
