@@ -69,6 +69,19 @@ def merge_equal_siblings(keys: Sequence[str], values: Mapping[str, V]) -> tuple[
     return tuple(merged), tuple(held)
 
 
+def right_ends(keys: Sequence[str]) -> tuple[str, ...]:
+    """The right endpoint of each cell, as a string ordered like the number.
+
+    ``keys`` must be sorted, complete and prefix-free.  Cell ``k`` ends at
+    ``(int(k or "0", 2) + 1) / 2**len(k)``, where the next cell starts, so
+    the end is written as the next key's binary digits without trailing
+    zeros; the last cell ends at 1, written as the sentinel ``"2"``.
+    Digit strings ending in 1 compare as strings exactly as their numbers
+    do, and ``"2"`` sorts after every one of them.
+    """
+    return (*[k.rstrip("0") for k in keys[1:]], "2")
+
+
 def align(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
     """Owner indices in ``a`` and in ``b`` of each cell of their common refinement.
 
@@ -78,7 +91,8 @@ def align(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
     The two current cells share their left endpoint, so one is a prefix
     of the other: the longer one is the refined cell and advances, and
     the shorter one advances once the next key no longer extends it.
-    ``model_maps.nabla`` runs the same merge inline.
+    ``model_maps.nabla`` walks the same refinement by comparing the
+    cells' stored ``right_ends`` instead.
     """
     oa: list[int] = []
     ob: list[int] = []

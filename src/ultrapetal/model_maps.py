@@ -12,7 +12,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cells import check_prefixes, merge_equal_siblings
+from .cells import check_prefixes, merge_equal_siblings, right_ends
 from .extension import extend
 from .scales import RangeSet, ScaleLike, ZERO, as_scale
 
@@ -22,10 +22,13 @@ class CantorFunction:
 
     Stored on the coarsest cell partition realising it (equal-valued
     sibling cells are merged on construction), which makes structural
-    equality agree with pointwise equality.  Immutable.
+    equality agree with pointwise equality.  Next to the sorted cell
+    ``keys`` and their ``values`` it keeps ``ends``, the right endpoint
+    of every cell as ``cells.right_ends`` writes it, for ``nabla``'s
+    merge.  Immutable.
     """
 
-    __slots__ = ("keys", "values")
+    __slots__ = ("keys", "values", "ends")
 
     def __init__(self, cells: Mapping[str, ScaleLike] | Iterable[tuple[str, ScaleLike]]):
         items = cells.items() if isinstance(cells, Mapping) else list(cells)
@@ -41,6 +44,7 @@ class CantorFunction:
         if ZERO not in table.values():
             raise ValueError("the image must contain 0")
         self.keys, self.values = merge_equal_siblings(keys, table)
+        self.ends = right_ends(self.keys)
 
     @property
     def cells(self) -> tuple[tuple[str, Fraction], ...]:
@@ -82,34 +86,39 @@ def nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
     f <= g v epsilon and g <= f v epsilon everywhere: at a disagreement
     point the larger value forces epsilon at least that high.
 
-    The two sorted partitions are merged in one pass, as in
-    ``cells.align``, comparing each refined cell's two values on the way.
+    The two partitions are merged in one pass over their cells' right
+    endpoints: both current cells start at the same point, so the refined
+    cell ends at the nearer of their two ends, and the cell ending there
+    advances (both when the ends agree; the last cells end at the
+    sentinel).  Each refined cell's two values are compared on the way
+    by integer cross-multiplication; a strictly larger disagreement
+    replaces the maximum, so the first maximal value object is returned.
     """
-    fk, fv, gk, gv = f.keys, f.values, g.keys, g.values
-    nf, ng = len(fk), len(gk)
+    fe, fv, ge, gv = f.ends, f.values, g.ends, g.values
     worst = ZERO
+    wn, wd = 0, 1
     i = j = 0
-    while i < nf:
+    while True:
         x, y = fv[i], gv[j]
-        # values are mostly shared objects, and a cell whose larger value
-        # cannot raise the maximum needs no equality test
+        # values are mostly shared objects, which cannot disagree
         if x is not y:
-            hi = x if x > y else y
-            if hi > worst and x != y:
-                worst = hi
-        a, b = fk[i], gk[j]
+            xn, xd, yn, yd = x._numerator, x._denominator, y._numerator, y._denominator
+            p, q = xn * yd, yn * xd
+            if p > q:
+                if xn * wd > wn * xd:
+                    worst, wn, wd = x, xn, xd
+            elif p < q and yn * wd > wn * yd:
+                worst, wn, wd = y, yn, yd
+        a, b = fe[i], ge[j]
         if a == b:
+            if a == "2":
+                return worst
             i += 1
             j += 1
-        elif a < b:  # a proper prefix sorts first
-            j += 1
-            if j == ng or not gk[j].startswith(a):
-                i += 1
+        elif a < b:
+            i += 1
         else:
-            i += 1
-            if i == nf or not fk[i].startswith(b):
-                j += 1
-    return worst
+            j += 1
 
 
 def trace(f: CantorFunction) -> RangeSet:

@@ -49,6 +49,14 @@ class _Parsed(dict):
         return scale
 
 
+class _Written(dict):
+    """``Scale`` to its ``str``, filled on a miss; one per written matrix."""
+
+    def __missing__(self, value: Scale) -> str:
+        self[value] = text = str(value)
+        return text
+
+
 def check_matrix(
     dist: Sequence[Sequence[ScaleLike]],
     names: Sequence[str],
@@ -373,9 +381,10 @@ class FiniteUltraSpace:
         return self.dendrogram().encode()
 
     def to_json(self) -> dict:
+        text = _Written()  # a matrix holds few distinct scales: each is formatted once
         return {
             "points": list(self.labels),
-            "dist": [[str(v) for v in row] for row in self.dist],
+            "dist": [list(map(text.__getitem__, row)) for row in self.dist],
         }
 
     @classmethod

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cell_oracle import cell_owners, refinement
-from ultrapetal.cells import align, check_prefixes, merge_equal_siblings
+from ultrapetal.cells import align, check_prefixes, merge_equal_siblings, right_ends
 from ultrapetal.extension import Inconsistent
 from ultrapetal.model_maps import (
     CantorFunction,
@@ -13,12 +13,14 @@ from ultrapetal.model_maps import (
     nabla,
     one_point_extension,
     trace,
+    truncate,
     zero_function,
 )
 from ultrapetal.petal import MAPS
 from ultrapetal.petal_harness import (
     POOL,
     TrialConfig,
+    _twin_maps,
     back_and_forth,
     gen_cantor_function,
     gen_partition,
@@ -64,6 +66,57 @@ def refined_nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
             if hi > worst:
                 worst = hi
     return worst
+
+
+def merged_nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
+    # oracle: the prefix merge of the two sorted key tuples (as in
+    # cells.align), comparing each refined cell's values with Scale's own
+    # operators; the strict > keeps the first maximal value object
+    fk, fv, gk, gv = f.keys, f.values, g.keys, g.values
+    nf, ng = len(fk), len(gk)
+    worst = ZERO
+    i = j = 0
+    while i < nf:
+        x, y = fv[i], gv[j]
+        if x is not y:
+            hi = x if x > y else y
+            if hi > worst and x != y:
+                worst = hi
+        a, b = fk[i], gk[j]
+        if a == b:
+            i += 1
+            j += 1
+        elif a < b:  # a proper prefix sorts first
+            j += 1
+            if j == ng or not gk[j].startswith(a):
+                i += 1
+        else:
+            i += 1
+            if i == nf or not fk[i].startswith(b):
+                j += 1
+    return worst
+
+
+def right_end(key: str) -> Fraction:
+    # oracle: the right endpoint of the dyadic cell named by the prefix
+    return Fraction(int(key or "0", 2) + 1, 2 ** len(key))
+
+
+def decoded_end(stored: str) -> Fraction:
+    # a stored end is a binary fraction without trailing zeros, or "2" for 1
+    if stored == "2":
+        return Fraction(1)
+    assert stored.endswith("1") and not stored.strip("01"), stored
+    return Fraction(int(stored, 2), 2 ** len(stored))
+
+
+def assert_ends(fun: CantorFunction) -> None:
+    ends = fun.ends
+    assert len(ends) == len(fun.keys)
+    assert [decoded_end(e) for e in ends] == [right_end(k) for k in fun.keys], fun
+    assert ends[-1] == "2"
+    assert all(a < b for a, b in zip(ends, ends[1:])), fun
+    assert all(decoded_end(a) < decoded_end(b) for a, b in zip(ends, ends[1:])), fun
 
 
 def refined_place(anchors, want, m, i) -> CantorFunction:
@@ -244,24 +297,54 @@ def test_nabla_and_place_match_refinement_oracles():
     rng = spawn_rng(54)
     grown = grown_functions(3, 25)
     pools = [grown] + [[gen_cantor_function(rng) for _ in range(8)] for _ in range(40)]
+    # nabla returns the same object as the prefix merge, so printed
+    # distances cannot drift
     for pool in pools:
         for f in pool:
             for g in pool:
-                assert nabla(f, g) == refined_nabla(f, g)
+                got = nabla(f, g)
+                assert got == refined_nabla(f, g) and got is merged_nabla(f, g), (f, g)
     # parsed copies hold equal values in other objects; halved copies keep
     # the cells and change every nonzero value
     parsed = [CantorFunction.from_json(json.loads(json.dumps(f.to_json()))) for f in grown]
     halved = [CantorFunction((k, v / 2) for k, v in f.cells) for f in grown]
     for f in grown:
         for g in parsed + halved:
-            assert nabla(f, g) == refined_nabla(f, g)
-            assert nabla(g, f) == refined_nabla(g, f)
+            for a, b in ((f, g), (g, f)):
+                got = nabla(a, b)
+                assert got == refined_nabla(a, b) and got is merged_nabla(a, b), (a, b)
+    for seed in range(10):
+        chain = grown_functions(60 + seed, 30)
+        for f in chain:
+            for g in chain:
+                assert nabla(f, g) is merged_nabla(f, g), (f, g)
     for _ in range(3000):
         pool = rng.choice(pools)
         anchors = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
         m = rng.choice(POOL.positives())
         i = rng.randrange(len(anchors))
         assert _place(anchors, [], m, i) == refined_place(anchors, [], m, i)
+
+
+def test_stored_right_ends_match_the_dyadic_oracle():
+    assert zero_function().ends == ("2",)
+    assert right_ends(("0", "10", "110", "111")) == ("1", "11", "111", "2")
+    assert CantorFunction({"00": "1", "01": "1/2", "1": "0"}).ends == ("01", "1", "2")
+    rng = spawn_rng(56)
+    funs = [zero_function()] + grown_functions(4, 20)
+    funs += [gen_cantor_function(rng) for _ in range(300)]
+    funs += [truncate(f, rng.choice(POOL.elems)) for f in funs[:200]]
+    funs += [CantorFunction.from_json(json.loads(json.dumps(f.to_json()))) for f in funs[:200]]
+    for _ in range(300):
+        anchors = [rng.choice(funs) for _ in range(rng.randint(1, 6))]
+        funs.append(_place(anchors, [], rng.choice(POOL.positives()), rng.randrange(len(anchors))))
+    for f in funs:
+        assert_ends(f)
+    for f in funs[:300]:
+        # a twin cuts cells that the constructor merges back into the parent's
+        twin = _twin_maps(rng, f)
+        assert_ends(twin)
+        assert twin.keys == f.keys and twin.ends == f.ends
 
 
 def test_nabla_examples():

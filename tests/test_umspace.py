@@ -190,6 +190,26 @@ def test_space_json_round_trip():
         FiniteUltraSpace.from_json([1, 2, 3])
 
 
+def test_space_json_formats_like_str_per_entry():
+    # oracle: one str() per matrix entry; the written form formats each
+    # distinct scale once, so equal values in other objects, plain
+    # Fractions and values spelt several ways must all come out the same
+    rng = random.Random(25)
+    spaces = [THREE, FiniteUltraSpace(["x"], [["0"]])]
+    for t in range(60):
+        n = rng.randint(2, 30)
+        rows = (spacegen.chain_rows if t % 3 == 0 else spacegen.dendrogram_rows)(rng, n)
+        labels = [f"p{i}" for i in range(n)]
+        spaces.append(FiniteUltraSpace(labels, [[rng.choice(_spellings(v)) for v in row] for row in rows]))
+        spaces.append(FiniteUltraSpace(labels, rows))
+    mixed = FiniteUltraSpace(["a", "b"], [[ZERO, Scale(1, 2)], [Scale(1, 2), ZERO]])
+    mixed._rows = ((ZERO, Fraction(1, 2)), (Scale(1, 2), Fraction(0)))  # equal values, other objects and types
+    spaces.append(mixed)
+    for space in spaces:
+        want = {"points": list(space.labels), "dist": [[str(v) for v in row] for row in space.dist]}
+        assert json.dumps(space.to_json(), indent=2) == json.dumps(want, indent=2)
+
+
 def test_space_json_refuses_non_string_labels():
     with pytest.raises(ValueError):
         FiniteUltraSpace.from_json({"points": [None, "a"], "dist": [["0", "1"], ["1", "0"]]})
