@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .cells import align, check_prefixes, merge_equal_siblings
 from .scales import RangeSet, ScaleLike, ZERO, as_scale
-from .umspace import Dendrogram, check_matrix, check_tree
+from .umspace import Dendrogram, check_matrix, matrix_json
 
 
 class CantorPseudoUltrametric:
@@ -32,19 +32,19 @@ class CantorPseudoUltrametric:
 
     def __init__(self, cells: Sequence[str], dist: Sequence[Sequence[ScaleLike]]):
         given = list(cells)
-        self.cells: tuple[str, ...] = check_prefixes(given)
-        self._tree = check_matrix(dist, given, allow_zero=True)
-        self.dist: tuple[tuple[Fraction, ...], ...] = self._tree.rows(self.cells)
+        self._adopt(check_prefixes(given), check_matrix(dist, given, allow_zero=True))
 
     @classmethod
     def _from_tree(cls, cells: Sequence[str], tree: Dendrogram) -> "CantorPseudoUltrametric":
-        """The element of a dendrogram over ``cells``, checked by ``check_tree``."""
+        """The element of a tree the package built over ``cells``, already sorted; unchecked."""
         d = object.__new__(cls)
-        d.cells = check_prefixes(cells)
-        check_tree(d.cells, tree, allow_zero=True)
-        d.dist = tree.rows(d.cells)
-        d._tree = tree
+        d._adopt(tuple(cells), tree)
         return d
+
+    def _adopt(self, cells: tuple[str, ...], tree: Dendrogram) -> None:
+        self.cells = cells
+        self.dist: tuple[tuple[Fraction, ...], ...] = tree.rows(cells)
+        self._tree = tree
 
     def _normal_form(self) -> tuple:
         # distance 0 is an equivalence; a class is named by its first cell,
@@ -68,10 +68,7 @@ class CantorPseudoUltrametric:
         return f"CantorPseudoUltrametric({len(self.cells)} cells)"
 
     def to_json(self) -> dict:
-        return {
-            "cells": list(self.cells),
-            "dist": [[str(v) for v in row] for row in self.dist],
-        }
+        return {"cells": list(self.cells), "dist": matrix_json(self.dist)}
 
     @classmethod
     def from_json(cls, data: object) -> "CantorPseudoUltrametric":

@@ -177,7 +177,7 @@ def _twin_cpum(rng: random.Random, d: CantorPseudoUltrametric) -> CantorPseudoUl
         return zero_node([Dendrogram(label=b) for a in node.leaves() for b in (halves if a == target else (a,))])
 
     tree = d.dendrogram().cut(ZERO, split)
-    return CantorPseudoUltrametric._from_tree(cells + halves, tree)
+    return CantorPseudoUltrametric._from_tree(sorted(cells + halves), tree)
 
 
 def _twin_gh(rng: random.Random, x: GHPoint) -> GHPoint:

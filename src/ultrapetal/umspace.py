@@ -57,6 +57,12 @@ class _Written(dict):
         return text
 
 
+def matrix_json(rows: Sequence[Sequence[Scale]]) -> list[list[str]]:
+    """A matrix as JSON rows of strings; a matrix holds few distinct scales, each formatted once."""
+    text = _Written()
+    return [list(map(text.__getitem__, row)) for row in rows]
+
+
 def check_matrix(
     dist: Sequence[Sequence[ScaleLike]],
     names: Sequence[str],
@@ -90,40 +96,6 @@ def check_matrix(
             if not allow_zero and rows[i][j]._numerator == 0:
                 raise NotPositive(f"d({names[i]},{names[j]}) must be positive", i, j)
     return _build(rows, names)
-
-
-def check_tree(labels: Sequence[str], tree: "Dendrogram", allow_zero: bool = False) -> None:
-    """Check that a dendrogram stands for a (pseudo-)ultrametric on ``labels``.
-
-    The internal path for trees the package builds itself, in O(nodes),
-    children before parents.  Every internal node must have at least two
-    children and a ``Scale`` that is positive (or 0 with ``allow_zero``)
-    and strictly above the scales of its internal children; every label
-    must be a leaf exactly once.  Such a tree is the one ``_build`` makes
-    from its rows, up to child order, so ``tree.rows(labels)`` is
-    ultrametric.
-    """
-    index = dict.fromkeys(labels)
-    if len(index) != len(labels):
-        raise SpaceError("point labels must be distinct")
-    for node in reversed(tree.nodes()):
-        children = node.children
-        if not children:
-            if node.label not in index:
-                raise SpaceError(f"leaf {node.label!r} is not a point or appears twice")
-            del index[node.label]
-            continue
-        scale = node.scale
-        if len(children) < 2:
-            raise SpaceError("an internal node needs at least two children")
-        if type(scale) is not Scale or scale._numerator < 0 or (scale._numerator == 0 and not allow_zero):
-            kind = "non-negative" if allow_zero else "positive"
-            raise SpaceError(f"node scale must be a {kind} Scale, got {scale!r}")
-        for child in children:
-            if child.children and not child.scale < scale:
-                raise SpaceError(f"child scale {child.scale} is not below its parent's {scale}")
-    if index:
-        raise SpaceError(f"point {next(iter(index))!r} is not a leaf of the tree")
 
 
 def _build(rows: tuple[tuple[Fraction, ...], ...], labels: Sequence[str]) -> "Dendrogram":
@@ -205,7 +177,9 @@ class Dendrogram:
     Internal nodes carry a scale (the diameter of their leaf set),
     strictly decreasing from root to leaves; leaves carry point labels.
     The distance between two leaves is the scale of their lowest common
-    ancestor.
+    ancestor.  Trees are checked at the boundary and trusted inside:
+    ``check_matrix`` builds them from outside input, and the package's
+    own constructions only cut and graft well-formed trees.
     """
 
     __slots__ = ("scale", "label", "children")
@@ -239,7 +213,7 @@ class Dendrogram:
         return [node.label or "" for node in self.nodes() if node.is_leaf]
 
     def rows(self, labels: Sequence[str]) -> tuple[tuple[Fraction, ...], ...]:
-        """The matrix of a checked tree, rows and columns in ``labels`` order.
+        """The matrix of a well-formed tree, rows and columns in ``labels`` order.
 
         Children before parents, each pair is filled once, at its lowest
         common ancestor: O(n^2) assignments and no scale comparisons.
@@ -304,30 +278,31 @@ class Dendrogram:
 class FiniteUltraSpace:
     """A labelled finite set with an exact ultrametric distance matrix.
 
-    Immutable; construction validates symmetry, positivity off the
-    diagonal and the strong triangle inequality into a dendrogram, and
-    spaces the package builds itself start from a checked dendrogram
-    (``_from_tree``).  Only the tree is kept until ``dist`` is first read.
+    Immutable.  Checked at the boundary, trusted inside: the constructor
+    validates symmetry, positivity off the diagonal and the strong
+    triangle inequality into a dendrogram, while ``_from_tree`` stores a
+    tree the package built from valid parts as it is.  Only the tree is
+    kept until ``dist`` is first read.
     """
 
     __slots__ = ("labels", "_rows", "_index", "_tree")
 
     def __init__(self, labels: Iterable[str], dist: Sequence[Sequence[ScaleLike]]):
-        self.labels = tuple(labels)
-        self._tree = check_matrix(dist, self.labels)
-        self._rows = None
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        labels = tuple(labels)
+        self._adopt(labels, check_matrix(dist, labels))
 
     @classmethod
     def _from_tree(cls, labels: Sequence[str], tree: Dendrogram) -> "FiniteUltraSpace":
-        """The space of a dendrogram over ``labels``, checked by ``check_tree``."""
+        """The space of a dendrogram over ``labels``, unchecked: a tree built by the package."""
         space = object.__new__(cls)
-        space.labels = tuple(labels)
-        check_tree(space.labels, tree)
-        space._rows = None
-        space._tree = tree
-        space._index = {lab: i for i, lab in enumerate(space.labels)}
+        space._adopt(tuple(labels), tree)
         return space
+
+    def _adopt(self, labels: tuple[str, ...], tree: Dendrogram) -> None:
+        self.labels = labels
+        self._tree = tree
+        self._rows = None
+        self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -381,11 +356,7 @@ class FiniteUltraSpace:
         return self.dendrogram().encode()
 
     def to_json(self) -> dict:
-        text = _Written()  # a matrix holds few distinct scales: each is formatted once
-        return {
-            "points": list(self.labels),
-            "dist": [list(map(text.__getitem__, row)) for row in self.dist],
-        }
+        return {"points": list(self.labels), "dist": matrix_json(self.dist)}
 
     @classmethod
     def from_json(cls, data: object) -> "FiniteUltraSpace":

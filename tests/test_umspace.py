@@ -12,6 +12,7 @@ from ultrapetal.model_cpum import CantorPseudoUltrametric, trace, truncate
 from ultrapetal.model_gh import GHPoint, na_distance
 from ultrapetal.petal_harness import (
     POOL,
+    _twin_cpum,
     _twin_gh,
     gen_cpum,
     gen_range_set,
@@ -28,7 +29,6 @@ from ultrapetal.umspace import (
     NotUltrametric,
     SpaceError,
     check_matrix,
-    check_tree,
 )
 
 def _space_of(tree):
@@ -699,7 +699,7 @@ def test_generator_depth_is_bounded_by_the_pool():
             level = [child for node in level for child in node.children]
         assert depth <= len(POOL.positives()) + 1 == 7
         assert sorted(tree.leaves()) == sorted(labels)
-        FiniteUltraSpace._from_tree(labels, tree)  # scales strictly decrease downwards
+        _ref_walk_tree(labels, tree, False, fill=False)  # scales strictly decrease downwards
 
 
 def _assert_lazy_rows(space):
@@ -808,9 +808,7 @@ def test_floor_bounded_encode_matches_full_walk():
 )
 def test_malformed_trees_are_refused(labels, tree, allow_zero):
     with pytest.raises(SpaceError):
-        check_tree(labels, tree, allow_zero=allow_zero)
-    with pytest.raises(SpaceError):
-        FiniteUltraSpace._from_tree(labels, tree)
+        _ref_walk_tree(labels, tree, allow_zero, fill=False)
 
 
 def test_malformed_cpum_trees_are_refused():
@@ -821,17 +819,17 @@ def test_malformed_cpum_trees_are_refused():
         Dendrogram(HALF, None, (_leaf("0"), Dendrogram(HALF, None, (_leaf("10"), _leaf("11"))))),
     ):
         with pytest.raises(SpaceError):
-            CantorPseudoUltrametric._from_tree(cells, tree)
+            _ref_walk_tree(cells, tree, True, fill=False)
 
 
 def test_well_formed_trees_are_accepted():
     chain = Dendrogram(ONE, None, (_leaf("a"), Dendrogram(HALF, None, (_leaf("b"), _leaf("c")))))
-    assert check_tree(["c", "b", "a"], chain) is None
+    assert _oracle_accepts(["c", "b", "a"], chain)
     assert chain.rows(["c", "b", "a"]) == ((0, HALF, 1), (HALF, 0, 1), (1, 1, 0))
     zeros = Dendrogram(ONE, None, (_leaf("a"), Dendrogram(ZERO, None, (_leaf("b"), _leaf("c")))))
-    assert check_tree(["a", "b", "c"], zeros, allow_zero=True) is None
+    assert _oracle_accepts(["a", "b", "c"], zeros, allow_zero=True)
     assert zeros.rows(["a", "b", "c"]) == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
-    assert check_tree(["a"], _leaf("a")) is None
+    assert _oracle_accepts(["a"], _leaf("a"))
     assert _leaf("a").rows(["a"]) == ((0,),)
 
 
@@ -847,7 +845,8 @@ def test_quotient_refuses_colliding_class_labels():
 
 
 def _ref_walk_tree(labels, tree, allow_zero, fill):
-    # reference: the one walk that checked a tree and, with ``fill``, filled its rows
+    # the oracle for every tree the package builds unchecked: it checks the
+    # tree in one walk and, with ``fill``, fills its rows
     n = len(labels)
     index = dict(zip(labels, range(n)))
     if len(index) != n:
@@ -889,17 +888,13 @@ def _ref_walk_tree(labels, tree, allow_zero, fill):
     return tuple(map(tuple, rows)) if fill else None
 
 
-def _walk_agrees(labels, tree, allow_zero=False):
-    """Whether the reference walk accepts; check_tree raises exactly as it does."""
+def _oracle_accepts(labels, tree, allow_zero=False):
+    """Whether the reference walk accepts; if it does, ``rows`` fills what it fills."""
     try:
-        _ref_walk_tree(labels, tree, allow_zero, fill=False)
-    except Exception as want:
-        with pytest.raises(Exception) as got:
-            check_tree(labels, tree, allow_zero=allow_zero)
-        assert (type(got.value), str(got.value)) == (type(want), str(want))
+        want = _ref_walk_tree(labels, tree, allow_zero, fill=True)
+    except SpaceError:
         return False
-    assert check_tree(labels, tree, allow_zero=allow_zero) is None
-    assert tree.rows(labels) == _ref_walk_tree(labels, tree, allow_zero, fill=True)
+    assert tree.rows(labels) == want
     return True
 
 
@@ -939,21 +934,35 @@ def _defects(rng, tree):
     return out
 
 
+def _assert_rebuilt_equal(made, rebuilt, points):
+    # a trusted construction equals its rebuild through the checked constructor
+    assert getattr(made, points) == getattr(rebuilt, points)
+    assert made.dist == rebuilt.dist
+    assert made.dendrogram().encode() == rebuilt.dendrogram().encode()
+
+
 def test_check_tree_and_rows_match_the_one_walk():
+    # every construction that calls a ``_from_tree``: the generators, the
+    # twins, ``quotient`` and ``truncate``
     rng, draw = spawn_rng(19, 0), random.Random(19)
     trees = []
     for _ in range(300):
-        space = gen_space(rng)
-        trees += [(q.labels, q.dendrogram(), False) for q in (space, *(space.quotient(u) for u in POOL))]
+        space = gen_space(rng, max_points=10)
+        twin = _twin_gh(rng, GHPoint(space)).space
+        for q in (space, twin, *(space.quotient(u) for u in sorted({*POOL, *space.spectrum()}))):
+            _assert_rebuilt_equal(q, FiniteUltraSpace(q.labels, q.dist), "labels")
+            trees.append((q.labels, q.dendrogram(), False))
         d = gen_cpum(rng)
-        trees += [(e.cells, e.dendrogram(), True) for e in (d, *(truncate(d, u) for u in POOL))]
+        for e in (d, _twin_cpum(rng, d), *(truncate(d, u) for u in sorted({*POOL, *trace(d)}))):
+            _assert_rebuilt_equal(e, CantorPseudoUltrametric(e.cells, e.dist), "cells")
+            trees.append((e.cells, e.dendrogram(), True))
     kinds = {}
     for labels, tree, allow_zero in trees:
-        assert _walk_agrees(labels, tree, allow_zero)
+        assert _oracle_accepts(labels, tree, allow_zero)
         for kind, bad in _defects(draw, tree):
-            assert not _walk_agrees(labels, bad, allow_zero)
+            assert not _oracle_accepts(labels, bad, allow_zero)
             kinds[kind] = kinds.get(kind, 0) + 1
     assert len(kinds) == 5 and min(kinds.values()) > 100
     table = next(m for m in test_malformed_trees_are_refused.pytestmark if m.name == "parametrize")
     for labels, tree, allow_zero in table.args[1]:
-        assert not _walk_agrees(labels, tree, allow_zero)
+        assert not _oracle_accepts(labels, tree, allow_zero)
