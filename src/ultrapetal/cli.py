@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="one-point extension at prescribed distances")
     p.add_argument("--model", required=True,
-                   choices=[name for name, model in MODELS.items() if model.extend])
+                   choices=[name for name, model in MODELS.items() if model.place])
     p.add_argument("anchors", help="JSON file holding an array of model elements")
     p.add_argument("--targets", required=True,
                    help='distances as a JSON array, e.g. \'["1/2","1"]\'')

@@ -1,7 +1,8 @@
 """The constructive one-point extension, written once for every model.
 
-A model supplies its metric, its origin and how a new point is placed;
-``extend`` holds the policy and the exact check, ``embed`` the finite case.
+The model registry (``petal.Model``) supplies each model's metric, its
+origin and its placement ``place``; ``extend`` holds the policy and the
+exact check, ``embed`` the finite case.
 """
 
 from __future__ import annotations

@@ -95,28 +95,18 @@ def truncate(f: SupportMap, u: Fraction) -> SupportMap:
     return SupportMap((k, v) for k, v in f.entries if k > u)
 
 
-def _place(anchors: Sequence[SupportMap], want: list[Fraction], m: Fraction, i: int) -> SupportMap:
-    fresh = 1 + max(anchor.value_at(m) for anchor, t in zip(anchors, want) if t == m)
-    return SupportMap([(k, v) for k, v in anchors[i].entries if k > m] + [(m, fresh)])
+def place(anchors: Sequence[SupportMap], want: list[Fraction], m: Fraction, i: int) -> SupportMap:
+    """The new point of the one-point extension, m the least target attained first at i.
 
-
-def one_point_extension(
-    anchors: Sequence[SupportMap], targets: Sequence[ScaleLike]
-) -> SupportMap:
-    """A map at the prescribed distances from each anchor.
-
-    With no anchors the zero map is returned.  A zero target pins the
-    result to that anchor.  Otherwise, with m the least target attained
-    first at index i*, the result copies anchor i* above m, takes a fresh
-    value at m (one more than any competing anchor), and vanishes below.
-    The construction realises every target exactly whenever the targets
-    are consistent; an Inconsistent error identifies a violating pair
-    otherwise.
+    The result copies anchor i above m, takes a fresh value at m (one
+    more than any competing anchor), and vanishes below.  It realises
+    every target exactly whenever the targets are consistent.
 
     If every anchor lies in the petal of S and every target belongs to S,
     the result lies in the petal of S as well.
     """
-    return extend(delta, SupportMap, _place, anchors, targets)
+    fresh = 1 + max(anchor.value_at(m) for anchor, t in zip(anchors, want) if t == m)
+    return SupportMap([(k, v) for k, v in anchors[i].entries if k > m] + [(m, fresh)])
 
 
 def embed_space(space: FiniteUltraSpace) -> dict[str, SupportMap]:
@@ -126,7 +116,10 @@ def embed_space(space: FiniteUltraSpace) -> dict[str, SupportMap]:
     zero map and each later one placed by a one-point extension; the
     image reproduces the distance matrix exactly.
     """
-    return embed(one_point_extension, sorted(space.labels), space.d)
+    def extend_one(anchors, targets):  # petal.F.extend, which cannot be imported here
+        return extend(delta, SupportMap, place, anchors, targets)
+
+    return embed(extend_one, sorted(space.labels), space.d)
 
 
 __all__ = [
@@ -134,6 +127,6 @@ __all__ = [
     "delta",
     "trace",
     "truncate",
-    "one_point_extension",
+    "place",
     "embed_space",
 ]

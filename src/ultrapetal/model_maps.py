@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .cells import check_prefixes, merge_equal_siblings, right_ends
-from .extension import extend
 from .scales import RangeSet, ScaleLike, ZERO, as_scale
 
 
@@ -135,7 +134,20 @@ def truncate(f: CantorFunction, u: Fraction) -> CantorFunction:
     return CantorFunction((k, v if v > u else ZERO) for k, v in f.cells)
 
 
-def _place(anchors: Sequence[CantorFunction], want: list[Fraction], m: Fraction, i: int) -> CantorFunction:
+def place(anchors: Sequence[CantorFunction], want: list[Fraction], m: Fraction, i: int) -> CantorFunction:
+    """The new point of the one-point extension, m the least target attained first at i.
+
+    The first cell of the anchors' common refinement where anchor i
+    vanishes is split in two, the result taking the value m on one half
+    and 0 on the other, and copying anchor i elsewhere.  Anchors at
+    distance m disagree with the result on one of the halves at
+    magnitude exactly m, while larger targets keep their dominant
+    disagreement with anchor i intact.
+
+    If every anchor lies in the petal of S and every target belongs to S,
+    the result lies in the petal of S as well: its values are anchor i's,
+    m and 0.
+    """
     # the first refined cell where anchor i vanishes lies in its first zero
     # cell z and holds the point z000...: it is the longest anchor cell z+"0"*k
     base = anchors[i]
@@ -155,31 +167,11 @@ def _place(anchors: Sequence[CantorFunction], want: list[Fraction], m: Fraction,
     return CantorFunction(table)
 
 
-def one_point_extension(
-    anchors: Sequence[CantorFunction], targets: Sequence[ScaleLike]
-) -> CantorFunction:
-    """A function at the prescribed distances from each anchor.
-
-    With no anchors the zero function is returned, and a zero target pins
-    the result to that anchor.  Otherwise let m be the least target and
-    i* the first index attaining it: the first cell of the anchors'
-    common refinement where anchor i* vanishes is split in two, the
-    result taking the value m on one half and 0 on the other, and copying
-    anchor i* elsewhere.  Anchors at distance m disagree with the result
-    on one of the halves at magnitude exactly m, while larger targets
-    keep their dominant disagreement with anchor i* intact.
-
-    Raises Inconsistent (with a violating index pair) when the targets
-    cannot be realised.
-    """
-    return extend(nabla, zero_function, _place, anchors, targets)
-
-
 __all__ = [
     "CantorFunction",
     "zero_function",
     "nabla",
     "trace",
     "truncate",
-    "one_point_extension",
+    "place",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import model_cpum, model_f, model_gh, model_maps
+from . import extension, model_cpum, model_f, model_gh, model_maps
 from .model_cpum import CantorPseudoUltrametric
 from .model_f import SupportMap
 from .model_gh import GHPoint
@@ -22,8 +22,11 @@ class Model:
     ``trace(x)`` is the least range set whose petal holds ``x``;
     ``truncate(x, u)`` drops every trace value <= u, keeps the values
     above u, and moves ``x`` by at most u.  The petal operations below use
-    these two alone.  ``extend`` is the constructive one-point extension,
-    where the model has one.
+    these two alone.  Where the model has a constructive one-point
+    extension, ``origin()`` is its point for no anchors and
+    ``place(anchors, want, m, i)`` its new point away from every anchor;
+    ``extend`` builds the extension from these two and checks it with
+    ``metric``.
     """
 
     name: str
@@ -31,7 +34,12 @@ class Model:
     metric: Callable
     trace: Callable
     truncate: Callable
-    extend: Optional[Callable] = None
+    origin: Optional[Callable] = None
+    place: Optional[Callable] = None
+
+    def extend(self, anchors: Sequence, targets: Sequence[ScaleLike]):
+        """A point at the distances ``targets`` from ``anchors``; see ``extension.extend``."""
+        return extension.extend(self.metric, self.origin, self.place, anchors, targets)
 
     def in_petal(self, x, s: RangeSet) -> bool:
         return self.trace(x).issubset(s)
@@ -69,9 +77,10 @@ class Model:
 # one module-level name per record: perfbench/layer_trace.py rebinds the
 # functions held by module-level records, and only those
 F = Model(name="f", from_json=SupportMap.from_json, metric=model_f.delta,
-          trace=model_f.trace, truncate=model_f.truncate, extend=model_f.one_point_extension)
+          trace=model_f.trace, truncate=model_f.truncate, origin=SupportMap, place=model_f.place)
 MAPS = Model(name="maps", from_json=CantorFunction.from_json, metric=model_maps.nabla,
-             trace=model_maps.trace, truncate=model_maps.truncate, extend=model_maps.one_point_extension)
+             trace=model_maps.trace, truncate=model_maps.truncate,
+             origin=model_maps.zero_function, place=model_maps.place)
 CPUM = Model(name="cpum", from_json=CantorPseudoUltrametric.from_json, metric=model_cpum.ud,
              trace=model_cpum.trace, truncate=model_cpum.truncate)
 GH = Model(name="gh", from_json=GHPoint.from_json, metric=model_gh.na_distance,

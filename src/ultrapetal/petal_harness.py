@@ -417,7 +417,7 @@ def _check_cross_model(ops: _Sampler, rng, t):
     # one space, embedded independently in both models, same matrix
     space = gen_space(rng, max_points=8)
     f_images = model_f.embed_space(space)
-    m_images = embed(model_maps.one_point_extension, sorted(space.labels), space.d)
+    m_images = embed(ops.model.extend, sorted(space.labels), space.d)
     return _first_miss(space, (f_images, model_f.delta), (m_images, model_maps.nabla))
 
 

@@ -7,6 +7,7 @@ to see the verdict lines as they happen.
 
 import time
 
+from ultrapetal.petal import MODELS
 from ultrapetal.petal_harness import (
     InvariantViolation,
     TrialConfig,
@@ -87,7 +88,9 @@ def test_criterion_4_trace_tail_agreement():
 def test_criterion_5_one_point_extension():
     cfg = TrialConfig(seed=SEED, trials=10_000)
     failures = []
-    for model in ("f", "maps"):
+    models = [m.name for m in MODELS.values() if m.place]  # every model with a placement
+    assert models
+    for model in models:
         ok, n, failure = run_property(model, "one-point-extension", cfg)
         assert n == 1_000
         if not ok:

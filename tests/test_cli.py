@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrapetal import cli, extension, model_f, model_maps, petal_harness
+from injection import extending
+
+from ultrapetal import cli, model_f, petal_harness
 from ultrapetal.cli import main
 from ultrapetal.extension import Inconsistent
 from ultrapetal.petal import F, MAPS, MODELS
@@ -361,29 +363,24 @@ def test_backforth_rejected_extension_is_a_fail_line(capsys, monkeypatch):
             raise Inconsistent(0, 1)
         return MAPS.extend(anchors, targets)
 
-    broken = dataclasses.replace(petal_harness._MAPS, model=dataclasses.replace(MAPS, extend=rejecting))
-    monkeypatch.setattr(petal_harness, "_MAPS", broken)
+    monkeypatch.setattr(petal_harness, "_MAPS", extending(petal_harness._MAPS, rejecting))
     assert main(["backforth", "--seed", "1", "--trials", "5"]) == 1
     captured = capsys.readouterr()
     assert " FAIL " in captured.out and "step=2 pair=(0, 1)" in captured.out
     assert captured.err == ""
 
 
-def _placing_at_anchor(metric, origin):
+def _placing_at_anchor(anchors, want, m, i):
     # a broken placement: the new point lands on anchor i*, so a request
     # with no zero target is rejected, naming the first missed target twice
-    return lambda anchors, targets: extension.extend(
-        metric, origin, lambda anchors, want, m, i: anchors[i], anchors, targets
-    )
+    return anchors[i]
 
 
 def test_harness_rejected_realisable_request_is_a_fail_line(capsys, monkeypatch):
     # the extension and embedding checks ask for the distances of real
     # points, so a rejection is a broken operator: a FAIL line, not exit 2
-    broken = _placing_at_anchor(model_maps.nabla, model_maps.zero_function)
-    sampler = dataclasses.replace(petal_harness._MAPS, model=dataclasses.replace(MAPS, extend=broken))
+    sampler = dataclasses.replace(petal_harness._MAPS, model=dataclasses.replace(MAPS, place=_placing_at_anchor))
     monkeypatch.setitem(petal_harness.SAMPLERS, "maps", sampler)
-    monkeypatch.setattr(model_maps, "one_point_extension", broken)
     cfg = petal_harness.TrialConfig(seed=7, trials=50)
     ok, n, failure = petal_harness.run_property("maps", "one-point-extension", cfg)
     assert not ok and n == 5
@@ -402,7 +399,7 @@ def test_harness_rejected_realisable_request_is_a_fail_line(capsys, monkeypatch)
 
 
 def test_harness_rejected_embedding_is_a_fail_line(capsys, monkeypatch):
-    monkeypatch.setattr(model_f, "one_point_extension", _placing_at_anchor(model_f.delta, SupportMap))
+    monkeypatch.setattr(model_f, "place", _placing_at_anchor)
     ok, n, failure = petal_harness.run_property("f", "finite-embedding", petal_harness.TrialConfig(seed=7, trials=50))
     assert not ok
     assert failure == {"trial": 1, "raised": "Inconsistent", "message": str(Inconsistent(0, 0))}
@@ -415,7 +412,7 @@ def test_harness_rejected_embedding_is_a_fail_line(capsys, monkeypatch):
 def _off_at_one_target(anchors, targets):
     # the least target m, when one anchor alone has it: that anchor cut
     # below m is still at every larger target, but nearer than m to it
-    theta = model_f.one_point_extension(anchors, targets)
+    theta = F.extend(anchors, targets)
     m = min(targets, default=ZERO)
     if m == ZERO or targets.count(m) > 1:
         return theta
@@ -425,7 +422,7 @@ def _off_at_one_target(anchors, targets):
 def _outside_petal(anchors, targets):
     # a key at 1/8, below every positive scale the harness draws: the
     # distances stay, but no drawn range set holds the key
-    theta = model_f.one_point_extension(anchors, targets)
+    theta = F.extend(anchors, targets)
     if min(targets, default=ZERO) == ZERO:
         return theta
     return SupportMap(theta.entries + (("1/8", 1),))
@@ -433,7 +430,7 @@ def _outside_petal(anchors, targets):
 
 def _never_rejecting(anchors, targets):
     try:
-        return model_f.one_point_extension(anchors, targets)
+        return F.extend(anchors, targets)
     except Inconsistent:
         return SupportMap()
 
@@ -451,8 +448,7 @@ def _raising(anchors, targets):
 def test_harness_extension_fault_is_a_dumped_fail_line(broken, key, value, more, tmp_path, capsys, monkeypatch):
     # every way a one-point extension on f can be wrong reaches the report
     # as one FAIL line, and its counterexample file holds the record
-    sampler = dataclasses.replace(petal_harness._F, model=dataclasses.replace(F, extend=broken))
-    monkeypatch.setitem(petal_harness.SAMPLERS, "f", sampler)
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", extending(petal_harness._F, broken))
     cfg = petal_harness.TrialConfig(seed=7, trials=50)
     ok, n, failure = petal_harness.run_property("f", "one-point-extension", cfg)
     assert not ok and n == 5 and failure[key] == value and set(failure) == {"trial", key, *more}
@@ -473,7 +469,7 @@ def test_harness_makes_a_missing_dump_dir_on_the_first_failure(tmp_path, capsys,
     argv = ["harness", "--model", "f", "--seed", "7", "--trials", "20", "--dump-dir", str(dump_dir)]
     assert main(argv) == 0
     assert " FAIL " not in capsys.readouterr().out and not (tmp_path / "new").exists()
-    sampler = dataclasses.replace(petal_harness._F, model=dataclasses.replace(F, extend=_raising))
+    sampler = extending(petal_harness._F, _raising)
     monkeypatch.setitem(petal_harness.SAMPLERS, "f", sampler)
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -540,8 +536,10 @@ def test_backforth_extension_fault_is_a_fail_line(kind, side, op, step, capsys, 
     sampler = getattr(petal_harness, side)
     if op == "gen":
         sampler = dataclasses.replace(sampler, gen=raising)
+    elif op == "extend":
+        sampler = extending(sampler, raising)
     else:
-        sampler = dataclasses.replace(sampler, model=dataclasses.replace(sampler.model, **{op: raising}))
+        sampler = dataclasses.replace(sampler, model=dataclasses.replace(sampler.model, metric=raising))
     monkeypatch.setattr(petal_harness, side, sampler)
     assert main(["backforth", "--seed", "7", "--trials", "5"]) == 1
     captured = capsys.readouterr()

@@ -1,8 +1,14 @@
 import hashlib
+import itertools
 import json
 
-from ultrapetal import model_f, model_maps
-from ultrapetal.extension import Inconsistent, embed
+import pytest
+
+from ultrapetal import model_f
+from ultrapetal.extension import Inconsistent, embed, violating_pair
+from ultrapetal.model_f import SupportMap
+from ultrapetal.model_maps import CantorFunction
+from ultrapetal.petal import F, MAPS, MODELS
 from ultrapetal.petal_harness import (
     POOL,
     gen_cantor_function,
@@ -11,6 +17,7 @@ from ultrapetal.petal_harness import (
     gen_support_map,
     spawn_rng,
 )
+from ultrapetal.scales import as_scale
 from ultrapetal.umspace import FiniteUltraSpace
 
 
@@ -21,17 +28,17 @@ def _outcome(extend, anchors, targets):
         return {"inconsistent": list(err.indices), "message": str(err)}
 
 
-def _requests(model, gen, metric, rng, count):
+def _requests(model, gen, rng, count):
     # targets read off a generated point are consistent; every third
     # request has one target replaced by a draw from the scale pool
     out = []
     for _ in range(count):
         anchors = [gen(rng) for _ in range(rng.randint(0, 5))]
         point = gen(rng)
-        targets = [metric(point, a) for a in anchors]
+        targets = [model.metric(point, a) for a in anchors]
         if anchors and rng.random() < 1 / 3:
             targets[rng.randrange(len(targets))] = gen_scale(rng, POOL)
-        out.append(_outcome(model.one_point_extension, anchors, targets))
+        out.append(_outcome(model.extend, anchors, targets))
     return out
 
 
@@ -39,8 +46,8 @@ def test_pinned_extension_outcomes():
     # fixed digest of extension outputs, Inconsistent pairs and messages,
     # and finite embeddings: the construction of the new point is pinned
     record = {
-        "f": _requests(model_f, gen_support_map, model_f.delta, spawn_rng(11, 0), 1500),
-        "maps": _requests(model_maps, gen_cantor_function, model_maps.nabla, spawn_rng(11, 1), 1500),
+        "f": _requests(F, gen_support_map, spawn_rng(11, 0), 1500),
+        "maps": _requests(MAPS, gen_cantor_function, spawn_rng(11, 1), 1500),
     }
     rng = spawn_rng(11, 2)
     record["embed"] = [
@@ -67,9 +74,62 @@ def test_embed_in_sorted_order_matches_label_order_reference():
         space = gen_space(rng, max_points=10)
         relabelled = FiniteUltraSpace([f"q{len(space) - i}" for i in range(len(space))], space.dist)
         for s in (space, relabelled):
-            for extend_one in (model_f.one_point_extension, model_maps.one_point_extension):
+            for extend_one in (F.extend, MAPS.extend):
                 got = embed(extend_one, sorted(s.labels), s.d)
                 want = _embed_in_label_order(extend_one, s)
                 assert [(k, v.to_json()) for k, v in got.items()] == [
                     (k, v.to_json()) for k, v in want.items()
                 ]
+
+
+def _support_maps():
+    # each of the keys 1/2, 1, 2 absent or holding 1 or 2
+    keys = ("1/2", "1", "2")
+    return [
+        SupportMap({k: v for k, v in zip(keys, values) if v})
+        for values in itertools.product(range(3), repeat=len(keys))
+    ]
+
+
+def _cantor_functions():
+    # values 0, 1/2, 1 on each partition of at most 3 cells, 0 among them;
+    # a function with equal sibling values is met once, on its coarsest partition
+    partitions = [[""], ["0", "1"], ["0", "10", "11"], ["00", "01", "1"]]
+    return list(dict.fromkeys(
+        CantorFunction(zip(cells, values))
+        for cells in partitions
+        for values in itertools.product(("0", "1/2", "1"), repeat=len(cells))
+        if "0" in values
+    ))
+
+
+# per model: its universe, the universe's size, and how many requests are realised
+UNIVERSES = {"f": (_support_maps, 27, 3159), "maps": (_cantor_functions, 33, 4316)}
+GATE_TARGETS = [as_scale(t) for t in ("0", "1/3", "1/2", "1", "2")]
+
+
+@pytest.mark.parametrize("model", [m for m in MODELS.values() if m.place], ids=lambda m: m.name)
+def test_extension_realises_exactly_the_consistent_requests(model):
+    # every request on every anchor set of one or two points of a small
+    # universe: realised exactly when violating_pair finds no pair, and
+    # then exactly; rejected with Inconsistent otherwise
+    build, size, want_realised = UNIVERSES[model.name]
+    universe = build()
+    assert len(set(universe)) == len(universe) == size
+    requests = realised = 0
+    for count in (1, 2):
+        for anchors in itertools.combinations(universe, count):
+            anchors = list(anchors)
+            for targets in itertools.product(GATE_TARGETS, repeat=count):
+                requests += 1
+                consistent = violating_pair(model.metric, anchors, targets) is None
+                try:
+                    theta = model.extend(anchors, targets)
+                except Inconsistent:
+                    assert not consistent, (anchors, targets)
+                    continue
+                assert consistent, (anchors, targets)
+                assert [model.metric(theta, a) for a in anchors] == list(targets), (anchors, targets)
+                realised += 1
+    assert requests == size * 5 + size * (size - 1) // 2 * 25
+    assert realised == want_realised

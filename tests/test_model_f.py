@@ -8,7 +8,6 @@ from ultrapetal.model_f import (
     SupportMap,
     delta,
     embed_space,
-    one_point_extension,
     trace,
 )
 from ultrapetal.petal import F
@@ -160,32 +159,32 @@ def test_approximate_into_petal_examples():
 
 
 def test_one_point_extension_examples():
-    theta = one_point_extension([SupportMap()], ["1/2"])
+    theta = F.extend([SupportMap()], ["1/2"])
     assert brute_delta(theta, SupportMap()) == Fraction(1, 2)
     assert theta == SupportMap({"1/2": 1})
 
     anchors = [SupportMap(), SupportMap({"1": 1})]
-    theta = one_point_extension(anchors, ["1/2", "1"])
+    theta = F.extend(anchors, ["1/2", "1"])
     assert theta == SupportMap({"1/2": 1})
     assert brute_delta(theta, anchors[0]) == Fraction(1, 2)
     assert brute_delta(theta, anchors[1]) == Fraction(1)
 
-    pinned = one_point_extension([SupportMap({"1": 1})], [0])
+    pinned = F.extend([SupportMap({"1": 1})], [0])
     assert pinned == SupportMap({"1": 1})
 
 
 def test_one_point_extension_empty_and_errors():
-    assert one_point_extension([], []) == SupportMap()
+    assert F.extend([], []) == SupportMap()
     with pytest.raises(ValueError):
-        one_point_extension([SupportMap()], [])
+        F.extend([SupportMap()], [])
     with pytest.raises(Inconsistent) as err:
-        one_point_extension(
+        F.extend(
             [SupportMap(), SupportMap({"1": 1})], ["1/4", "1/4"]
         )
     assert err.value.indices == (0, 1)
     # two equal anchors cannot sit at different distances
     with pytest.raises(Inconsistent):
-        one_point_extension([SupportMap(), SupportMap()], ["1/2", "1"])
+        F.extend([SupportMap(), SupportMap()], ["1/2", "1"])
 
 
 def test_one_point_extension_petal_preservation():
@@ -194,7 +193,7 @@ def test_one_point_extension_petal_preservation():
     omega = SupportMap({"1/2": 5})
     targets = [delta(omega, a) for a in anchors]
     assert targets == [Fraction(1, 2), Fraction(1), Fraction(1)]
-    theta = one_point_extension(anchors, targets)
+    theta = F.extend(anchors, targets)
     for anchor, want in zip(anchors, targets):
         assert delta(theta, anchor) == want
     assert F.in_petal(theta, s)

@@ -9,9 +9,8 @@ from ultrapetal.cells import align, check_prefixes, merge_equal_siblings, right_
 from ultrapetal.extension import Inconsistent
 from ultrapetal.model_maps import (
     CantorFunction,
-    _place,
     nabla,
-    one_point_extension,
+    place,
     trace,
     truncate,
     zero_function,
@@ -323,7 +322,7 @@ def test_nabla_and_place_match_refinement_oracles():
         anchors = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
         m = rng.choice(POOL.positives())
         i = rng.randrange(len(anchors))
-        assert _place(anchors, [], m, i) == refined_place(anchors, [], m, i)
+        assert place(anchors, [], m, i) == refined_place(anchors, [], m, i)
 
 
 def test_stored_right_ends_match_the_dyadic_oracle():
@@ -337,7 +336,7 @@ def test_stored_right_ends_match_the_dyadic_oracle():
     funs += [CantorFunction.from_json(json.loads(json.dumps(f.to_json()))) for f in funs[:200]]
     for _ in range(300):
         anchors = [rng.choice(funs) for _ in range(rng.randint(1, 6))]
-        funs.append(_place(anchors, [], rng.choice(POOL.positives()), rng.randrange(len(anchors))))
+        funs.append(place(anchors, [], rng.choice(POOL.positives()), rng.randrange(len(anchors))))
     for f in funs:
         assert_ends(f)
     for f in funs[:300]:
@@ -398,23 +397,23 @@ def test_petal_ops_examples():
 
 
 def test_one_point_extension_examples():
-    theta = one_point_extension([zero_function()], ["1/2"])
+    theta = MAPS.extend([zero_function()], ["1/2"])
     assert theta == CantorFunction({"0": "1/2", "1": "0"})
     assert brute_nabla(theta, zero_function()) == Fraction(1, 2)
 
     anchors = [zero_function(), CantorFunction({"0": "1", "1": "0"})]
-    theta = one_point_extension(anchors, ["1/2", "1"])
+    theta = MAPS.extend(anchors, ["1/2", "1"])
     assert nabla(theta, anchors[0]) == Fraction(1, 2)
     assert nabla(theta, anchors[1]) == Fraction(1)
 
     f = CantorFunction({"0": "1/2", "1": "0"})
-    assert one_point_extension([f], [0]) == f
+    assert MAPS.extend([f], [0]) == f
 
 
 def test_one_point_extension_empty_and_errors():
-    assert one_point_extension([], []) == zero_function()
+    assert MAPS.extend([], []) == zero_function()
     with pytest.raises(Inconsistent):
-        one_point_extension(
+        MAPS.extend(
             [zero_function(), CantorFunction({"0": "1", "1": "0"})],
             ["1/4", "1/4"],
         )
@@ -429,7 +428,7 @@ def test_one_point_extension_petal_preservation():
     ]
     omega = CantorFunction({"0": "1/2", "1": "0"})
     targets = [nabla(omega, a) for a in anchors]
-    theta = one_point_extension(anchors, targets)
+    theta = MAPS.extend(anchors, targets)
     for anchor, want in zip(anchors, targets):
         assert nabla(theta, anchor) == want
     assert MAPS.in_petal(theta, s)

@@ -35,7 +35,7 @@ try:
         ["a", "b", "c"], [["0", "1/2", "1"], ["1/2", "0", "1"], ["1", "1", "0"]])
     modules["model_f"].embed_space(space)
     counts = {name: trace.count(name) for name in (
-        "model_f.embed_space", "model_f.one_point_extension", "extension.verify_extension")}
+        "model_f.embed_space", "extension.verify_extension")}
     print(json.dumps({"missing": trace.missing, "counts": counts}))
 finally:
     trace.uninstall()
@@ -44,6 +44,7 @@ finally:
 # traced names the package no longer defines: the tracer skips them with a warning
 KNOWN_MISSING = {f"model_{m}.petal_distance" for m in ("f", "maps", "cpum", "gh")}
 KNOWN_MISSING |= {"cells.refinement", "cells.cell_owners"}
+KNOWN_MISSING |= {f"model_{m}.one_point_extension" for m in ("f", "maps")}
 
 
 def test_tracer_rebinds_every_traced_function():
@@ -55,6 +56,5 @@ def test_tracer_rebinds_every_traced_function():
     assert set(result["missing"]) <= KNOWN_MISSING
     assert result["counts"] == {
         "model_f.embed_space": 1,
-        "model_f.one_point_extension": 3,
         "extension.verify_extension": 2,
     }
