@@ -1,8 +1,8 @@
 """The constructive one-point extension, written once for every model.
 
 The model registry (``petal.Model``) supplies each model's metric, its
-origin and its placement ``place``; ``extend`` holds the policy and the
-exact check, ``embed`` the finite case.
+origin and its placement ``place``; ``locate`` holds the policy,
+``extend`` adds the exact check, ``embed`` the finite case.
 """
 
 from __future__ import annotations
@@ -59,25 +59,35 @@ def verify_extension(
             raise Inconsistent(*pair)
 
 
-def extend(metric: Callable, origin: Callable, place: Callable, anchors: Sequence, targets: Sequence[ScaleLike]):
-    """A point at the prescribed distances from each anchor.
+def locate(origin: Callable, place: Callable, anchors: Sequence, want: Sequence):
+    """The extension policy alone: a candidate point for the exact targets ``want``.
 
     With no anchors this is ``origin()``; the first zero target pins it to
     that anchor; otherwise, with m the least target and i* the first index
-    attaining it, it is ``place(anchors, want, m, i*)``.  Every target is
-    checked exactly, and Inconsistent names a violating pair.
+    attaining it, it is ``place(anchors, want, m, i*)``.  Nothing is
+    checked beyond the lengths: a caller that does not measure the point
+    itself calls ``extend``.
     """
-    want = [as_scale(t) for t in targets]
     if len(want) != len(anchors):
         raise ValueError("anchors and targets must have equal length")
     if not anchors:
         return origin()
     if ZERO in want:
-        theta = anchors[want.index(ZERO)]
-    else:
-        m = min(want)
-        theta = place(anchors, want, m, want.index(m))
-    verify_extension(metric, theta, anchors, want)
+        return anchors[want.index(ZERO)]
+    m = min(want)
+    return place(anchors, want, m, want.index(m))
+
+
+def extend(metric: Callable, origin: Callable, place: Callable, anchors: Sequence, targets: Sequence[ScaleLike]):
+    """A point at the prescribed distances from each anchor.
+
+    The point is ``locate``'s; every target is checked exactly, and
+    Inconsistent names a violating pair.
+    """
+    want = [as_scale(t) for t in targets]
+    theta = locate(origin, place, anchors, want)
+    if anchors:  # the origin has no target to miss
+        verify_extension(metric, theta, anchors, want)
     return theta
 
 

@@ -25,8 +25,9 @@ class Model:
     these two alone.  Where the model has a constructive one-point
     extension, ``origin()`` is its point for no anchors and
     ``place(anchors, want, m, i)`` its new point away from every anchor;
-    ``extend`` builds the extension from these two and checks it with
-    ``metric``.
+    ``locate`` places the extension by these two and ``extend`` also
+    checks it with ``metric``; on a model without them both raise
+    NotImplementedError.
     """
 
     name: str
@@ -39,7 +40,16 @@ class Model:
 
     def extend(self, anchors: Sequence, targets: Sequence[ScaleLike]):
         """A point at the distances ``targets`` from ``anchors``; see ``extension.extend``."""
-        return extension.extend(self.metric, self.origin, self.place, anchors, targets)
+        return extension.extend(self.metric, *self._construction(), anchors, targets)
+
+    def locate(self, anchors: Sequence, want: Sequence):
+        """``extend``'s point for the exact ``want``, unchecked; see ``extension.locate``."""
+        return extension.locate(*self._construction(), anchors, want)
+
+    def _construction(self) -> tuple[Callable, Callable]:
+        if self.place is None:
+            raise NotImplementedError(f"model {self.name} has no constructive one-point extension")
+        return self.origin, self.place
 
     def in_petal(self, x, s: RangeSet) -> bool:
         return self.trace(x).issubset(s)

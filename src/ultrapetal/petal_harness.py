@@ -624,11 +624,14 @@ class PartialIsometry:
 def _extend_both_ways(pairing: PartialIsometry, left: _Sampler, right: _Sampler, rng, rounds: int) -> None:
     """``rounds`` rounds, each mirroring a fresh point one way, then the other.
 
-    Even steps draw a left point and append it with its image, a one-point
-    extension at its exact distances; odd steps do the same through a
-    swapped view sharing the pairing's lists.  Real distances are always
-    consistent, so any exception at a step is a broken operator: an
-    InvariantViolation at that step, naming an Inconsistent's pair, else none.
+    Even steps draw a left point and append it with its image, placed by
+    the model's unchecked ``locate`` at its exact distances; odd steps do
+    the same through a swapped view sharing the pairing's lists.
+    ``append_checked`` is the one exact check of every image, so an image
+    that misses a distance is an InvariantViolation at that step naming
+    ``(i, len(pairing))``.  Real distances are always consistent, so any
+    exception at a step is a broken operator: an InvariantViolation at that
+    step, naming the pair of targets of a raised Inconsistent, else none.
     """
     swapped = PartialIsometry(pairing.right, pairing.left, pairing.right_metric, pairing.left_metric)
     ways = ((pairing, left, right), (swapped, right, left))
@@ -637,7 +640,7 @@ def _extend_both_ways(pairing: PartialIsometry, left: _Sampler, right: _Sampler,
         try:
             x = source.gen(rng)
             dists = [view.left_metric(x, p) for p in view.left]
-            view.append_checked(x, target.model.extend(view.right, dists), step, dists)
+            view.append_checked(x, target.model.locate(view.right, dists), step, dists)
         except InvariantViolation:
             raise
         except Exception as err:

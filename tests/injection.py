@@ -6,11 +6,14 @@ import dataclasses
 def extending(sampler, extend):
     """A copy of the harness record ``sampler`` whose model extends by ``extend``.
 
-    ``extend`` replaces the record's whole extension, so the exact check
-    in ``extension.extend`` never runs and the harness's own checks must
-    catch the fault.  ``Model.extend`` is a method, so the copy of the
-    frozen record shadows it as an instance attribute.
+    ``extend`` replaces the record's whole extension, checked and unchecked:
+    it shadows both ``Model.extend`` (the harness checks and embeddings) and
+    ``Model.locate`` (the back-and-forth steps), so the exact check in
+    ``extension.extend`` never runs and the harness's own checks must catch
+    the fault.  Both are methods, so the copy of the frozen record shadows
+    them as instance attributes.
     """
     model = dataclasses.replace(sampler.model)
-    object.__setattr__(model, "extend", extend)
+    for name in ("extend", "locate"):
+        object.__setattr__(model, name, extend)
     return dataclasses.replace(sampler, model=model)

@@ -550,6 +550,23 @@ def test_backforth_extension_fault_is_a_fail_line(kind, side, op, step, capsys, 
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("side, step, pair", [("_F", 1, (0, 1)), ("_MAPS", 2, (0, 2))], ids=["f", "maps"])
+def test_backforth_broken_placement_is_caught_by_the_pairing_check(side, step, pair, capsys, monkeypatch):
+    # back-and-forth places without the library's check, so the image that
+    # misses its targets is caught by append_checked: the FAIL line names
+    # the step and append_checked's (i, len(pairing)), not an Inconsistent's pair
+    sampler = getattr(petal_harness, side)
+    model = dataclasses.replace(sampler.model, place=_placing_at_anchor)
+    monkeypatch.setattr(petal_harness, side, dataclasses.replace(sampler, model=model))
+    assert main(["backforth", "--seed", "7", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"# backforth seed=7 trials=5 generator={petal_harness.GENERATOR_NAME}",
+        f"back-and-forth partial_isometry_each_step FAIL trials=5 seed=7 step={step} pair={pair}",
+    ]
+    assert captured.err == ""
+
+
 def test_umu_seed_env_default(capsys, monkeypatch):
     # UMU_SEED is the seed of backforth and harness when --seed is not given
     for argv in (["backforth", "--trials", "5"], ["harness", "--model", "maps", "--trials", "10"]):

@@ -11,13 +11,14 @@ from ultrapetal.model_maps import CantorFunction
 from ultrapetal.petal import F, MAPS, MODELS
 from ultrapetal.petal_harness import (
     POOL,
+    SAMPLERS,
     gen_cantor_function,
     gen_scale,
     gen_space,
     gen_support_map,
     spawn_rng,
 )
-from ultrapetal.scales import as_scale
+from ultrapetal.scales import ZERO, as_scale
 from ultrapetal.umspace import FiniteUltraSpace
 
 
@@ -112,7 +113,9 @@ GATE_TARGETS = [as_scale(t) for t in ("0", "1/3", "1/2", "1", "2")]
 def test_extension_realises_exactly_the_consistent_requests(model):
     # every request on every anchor set of one or two points of a small
     # universe: realised exactly when violating_pair finds no pair, and
-    # then exactly; rejected with Inconsistent otherwise
+    # then exactly; rejected with Inconsistent otherwise.  The unchecked
+    # locate gives extend's point, and on a rejected request that point
+    # misses a target, so the exact check alone does the rejecting
     build, size, want_realised = UNIVERSES[model.name]
     universe = build()
     assert len(set(universe)) == len(universe) == size
@@ -123,13 +126,31 @@ def test_extension_realises_exactly_the_consistent_requests(model):
             for targets in itertools.product(GATE_TARGETS, repeat=count):
                 requests += 1
                 consistent = violating_pair(model.metric, anchors, targets) is None
+                located = model.locate(anchors, targets)
                 try:
                     theta = model.extend(anchors, targets)
                 except Inconsistent:
                     assert not consistent, (anchors, targets)
+                    assert [model.metric(located, a) for a in anchors] != list(targets), (anchors, targets)
                     continue
                 assert consistent, (anchors, targets)
+                assert located == theta, (anchors, targets)
                 assert [model.metric(theta, a) for a in anchors] == list(targets), (anchors, targets)
                 realised += 1
     assert requests == size * 5 + size * (size - 1) // 2 * 25
     assert realised == want_realised
+
+
+@pytest.mark.parametrize("model", [m for m in MODELS.values() if not m.place], ids=lambda m: m.name)
+def test_model_without_extension_names_itself(model):
+    # cpum and gh have no constructive extension: one clear error naming
+    # the model, also for the requests the policy answers without placing
+    x = SAMPLERS[model.name].gen(spawn_rng(0))
+    message = f"model {model.name} has no constructive one-point extension"
+    for call, anchors, targets in [
+        (model.extend, [], []), (model.extend, [x], ["0"]), (model.extend, [x], ["1"]),
+        (model.locate, [], []), (model.locate, [x], [ZERO]),
+    ]:
+        with pytest.raises(NotImplementedError) as err:
+            call(anchors, targets)
+        assert str(err.value) == message
