@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .scales import ScaleLike, ZERO, as_scale
+from .scales import ScaleLike, as_scale
 
 
 class Inconsistent(ValueError):
@@ -62,20 +62,27 @@ def verify_extension(
 def locate(origin: Callable, place: Callable, anchors: Sequence, want: Sequence):
     """The extension policy alone: a candidate point for the exact targets ``want``.
 
-    With no anchors this is ``origin()``; the first zero target pins it to
-    that anchor; otherwise, with m the least target and i* the first index
-    attaining it, it is ``place(anchors, want, m, i*)``.  Nothing is
-    checked beyond the lengths: a caller that does not measure the point
-    itself calls ``extend``.
+    ``want`` holds exact ``Scale`` or ``Fraction`` values; only ``extend``
+    coerces.  With no anchors this is ``origin()``; the first zero target
+    pins it to that anchor; otherwise, with m the least target and i* the
+    first index attaining it, it is ``place(anchors, want, m, i*)``.  The
+    targets are scanned once and compared by integer cross-multiplication,
+    so m is the first least target object.  Nothing is checked beyond the
+    lengths: a caller that does not measure the point itself calls
+    ``extend``.
     """
     if len(want) != len(anchors):
         raise ValueError("anchors and targets must have equal length")
     if not anchors:
         return origin()
-    if ZERO in want:
-        return anchors[want.index(ZERO)]
-    m = min(want)
-    return place(anchors, want, m, want.index(m))
+    m, mn, md, first = None, 1, 0, 0  # mn/md = 1/0 lies above every target
+    for i, t in enumerate(want):
+        tn, td = t._numerator, t._denominator
+        if not tn:
+            return anchors[i]
+        if tn * md < mn * td:
+            m, mn, md, first = t, tn, td, i
+    return place(anchors, want, m, first)
 
 
 def extend(metric: Callable, origin: Callable, place: Callable, anchors: Sequence, targets: Sequence[ScaleLike]):

@@ -84,10 +84,14 @@ def ud(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> Fraction:
 
     The max over pairs where the induced values differ of the larger
     value; this equals the least bound epsilon with d <= e v epsilon and
-    e <= d v epsilon on all pairs.
+    e <= d v epsilon on all pairs.  As in ``nabla``, identical entries
+    are skipped and the others compared by integer cross-multiplication;
+    a strictly larger disagreement replaces the maximum, so the first
+    maximal value object is returned.
     """
     od, oe = align(d.cells, e.cells)
     worst = ZERO
+    wn, wd = 0, 1
     n = len(od)
     for i in range(n):
         di = d.dist[od[i]]
@@ -95,10 +99,14 @@ def ud(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> Fraction:
         for j in range(i + 1, n):
             a = di[od[j]]
             b = ei[oe[j]]
-            if a != b:
-                hi = a if a > b else b
-                if hi > worst:
-                    worst = hi
+            if a is not b:
+                an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
+                p, q = an * bd, bn * ad
+                if p > q:
+                    if an * wd > wn * ad:
+                        worst, wn, wd = a, an, ad
+                elif p < q and bn * wd > wn * bd:
+                    worst, wn, wd = b, bn, bd
     return worst
 
 

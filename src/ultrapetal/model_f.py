@@ -74,12 +74,19 @@ def delta(f: SupportMap, g: SupportMap) -> Fraction:
     Keys descend, so the first position where the entries differ decides:
     the larger of its two keys is missing from the other map, or the keys
     are equal and only the values differ.  When one map's entries are a
-    prefix of the other's, the first key left over is the answer.
+    prefix of the other's, the first key left over is the answer.  Keys
+    are compared inline: the same object is equal to itself, and two
+    distinct ones are ordered by one integer cross-multiplication; on
+    equal keys with different values g's key object is returned.
     """
     a, b = f.entries, g.entries
-    for p, q in zip(a, b):
-        if p != q:
-            return p[0] if p[0] > q[0] else q[0]
+    for (k, v), (l, w) in zip(a, b):
+        if k is not l:
+            p, q = k._numerator * l._denominator, l._numerator * k._denominator
+            if p != q:
+                return k if p > q else l
+        if v != w:
+            return l
     if len(a) != len(b):
         return a[len(b)][0] if len(a) > len(b) else b[len(a)][0]
     return ZERO
@@ -105,7 +112,7 @@ def place(anchors: Sequence[SupportMap], want: list[Fraction], m: Fraction, i: i
     If every anchor lies in the petal of S and every target belongs to S,
     the result lies in the petal of S as well.
     """
-    fresh = 1 + max(anchor.value_at(m) for anchor, t in zip(anchors, want) if t == m)
+    fresh = 1 + max(anchor._map.get(m, 0) for anchor, t in zip(anchors, want) if t is m or t == m)
     return SupportMap([(k, v) for k, v in anchors[i].entries if k > m] + [(m, fresh)])
 
 

@@ -43,7 +43,8 @@ class Model:
         return extension.extend(self.metric, *self._construction(), anchors, targets)
 
     def locate(self, anchors: Sequence, want: Sequence):
-        """``extend``'s point for the exact ``want``, unchecked; see ``extension.locate``."""
+        """``extend``'s point, unchecked, for ``want`` already exact (``Scale`` or
+        ``Fraction`` values; only ``extend`` coerces); see ``extension.locate``."""
         return extension.locate(*self._construction(), anchors, want)
 
     def _construction(self) -> tuple[Callable, Callable]:

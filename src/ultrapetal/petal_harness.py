@@ -607,7 +607,8 @@ class PartialIsometry:
         if len(dists) != len(left):
             raise ValueError(f"{len(dists)} distances for {len(left)} pairs")
         for i, d in enumerate(dists):
-            if metric(y, right[i]) != d:
+            got = metric(y, right[i])
+            if got is not d and got != d:
                 raise InvariantViolation(step, (i, len(left)))
         left.append(x)
         right.append(y)

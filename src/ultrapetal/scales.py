@@ -44,6 +44,13 @@ class Scale(Fraction):
             return self._numerator == other._numerator and self._denominator == other._denominator
         return Fraction.__eq__(self, other)
 
+    def __ne__(self, other):
+        # without it, != falls back to object.__ne__, which calls __eq__
+        if type(other) is Scale:
+            return self._numerator != other._numerator or self._denominator != other._denominator
+        eq = Fraction.__eq__(self, other)
+        return eq if eq is NotImplemented else not eq
+
     def __lt__(self, other):
         if type(other) is Scale:
             return self._numerator * other._denominator < other._numerator * self._denominator

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from ultrapetal import model_f
-from ultrapetal.extension import Inconsistent, embed, violating_pair
+from ultrapetal.extension import Inconsistent, embed, locate, violating_pair
 from ultrapetal.model_f import SupportMap
 from ultrapetal.model_maps import CantorFunction
 from ultrapetal.petal import F, MAPS, MODELS
@@ -139,6 +140,48 @@ def test_extension_realises_exactly_the_consistent_requests(model):
                 realised += 1
     assert requests == size * 5 + size * (size - 1) // 2 * 25
     assert realised == want_realised
+
+
+def _ref_locate(origin, place, anchors, want):
+    # oracle: the body locate had before it compared targets inline
+    if len(want) != len(anchors):
+        raise ValueError("anchors and targets must have equal length")
+    if not anchors:
+        return origin()
+    if ZERO in want:
+        return anchors[want.index(ZERO)]
+    m = min(want)
+    return place(anchors, want, m, want.index(m))
+
+
+def _spy_place(anchors, want, m, i):
+    return ("placed", m, i)
+
+
+def test_locate_matches_reference_policy():
+    # want lists of 1-8 targets from POOL, each the pool object, a parsed
+    # copy or a plain Fraction: zeros anywhere and ties across distinct
+    # objects; locate must pin the same anchor, or place at the same m
+    # object and index
+    rng = spawn_rng(11, 4)
+    forms = (lambda v: v, lambda v: as_scale(str(v)), Fraction)
+    anchors = [object() for _ in range(8)]
+    assert locate(SupportMap, _spy_place, [], []) == _ref_locate(SupportMap, _spy_place, [], []) == SupportMap()
+    pinned = placed = 0
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        want = [rng.choice(forms)(rng.choice(POOL.elems)) for _ in range(n)]
+        got = locate(SupportMap, _spy_place, anchors[:n], want)
+        ref = _ref_locate(SupportMap, _spy_place, anchors[:n], want)
+        if type(ref) is tuple:
+            placed += 1
+            assert type(got) is tuple and got[1] is ref[1] and got[2] == ref[2], want
+        else:
+            pinned += 1
+            assert got is ref, want
+    assert pinned > 1000 and placed > 1000
+    with pytest.raises(ValueError, match="equal length"):
+        locate(SupportMap, _spy_place, anchors[:2], [ZERO])
 
 
 @pytest.mark.parametrize("model", [m for m in MODELS.values() if not m.place], ids=lambda m: m.name)

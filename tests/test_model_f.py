@@ -74,6 +74,22 @@ def merged_delta(f: SupportMap, g: SupportMap) -> Fraction:
     return ZERO
 
 
+def _ref_delta(f: SupportMap, g: SupportMap) -> Fraction:
+    # oracle: the tuple-comparing body delta had before it compared keys
+    # inline; its result object is the one delta must return
+    a, b = f.entries, g.entries
+    for p, q in zip(a, b):
+        if p != q:
+            return p[0] if p[0] > q[0] else q[0]
+    if len(a) != len(b):
+        return a[len(b)][0] if len(a) > len(b) else b[len(a)][0]
+    return ZERO
+
+
+def _parsed(f: SupportMap) -> SupportMap:
+    return SupportMap.from_json(json.loads(json.dumps(f.to_json())))
+
+
 def test_delta_matches_merge_oracle():
     rng = spawn_rng(43)
     generated = [gen_support_map(rng) for _ in range(60)]
@@ -81,22 +97,27 @@ def test_delta_matches_merge_oracle():
     grown = pairing.left
     maps = generated + grown
     # same keys with one value changed, every proper prefix of the entries,
-    # and equal maps built from other objects
+    # and parsed copies: equal keys held in distinct objects, where delta
+    # returns g's key object
     revalued = [
         SupportMap(f.entries[:k] + ((f.entries[k][0], f.entries[k][1] + 1),) + f.entries[k + 1:])
         for f in maps for k in range(len(f.entries))
     ]
     prefixes = [SupportMap(f.entries[:k]) for f in maps for k in range(len(f.entries))]
-    copies = [SupportMap.from_json(json.loads(json.dumps(f.to_json()))) for f in maps]
+    copies = [_parsed(f) for f in maps]
     assert any(len(f.entries) > 2 for f in grown)
     for f in maps:
         for g in maps:
+            assert delta(f, g) is _ref_delta(f, g)
             assert delta(f, g) == merged_delta(f, g)
     for f, g in zip(maps, copies):
-        assert delta(f, g) == merged_delta(f, g) == ZERO
-    for others in (revalued, prefixes):
+        assert delta(f, g) is _ref_delta(f, g) is ZERO
+        assert merged_delta(f, g) == ZERO
+    for others in (revalued, prefixes, copies, [_parsed(g) for g in revalued]):
         for g in others:
             for f in maps:
+                assert delta(f, g) is _ref_delta(f, g)
+                assert delta(g, f) is _ref_delta(g, f)
                 assert delta(f, g) == merged_delta(f, g)
                 assert delta(g, f) == merged_delta(g, f)
 

@@ -2,6 +2,7 @@ import json
 import operator
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,21 @@ def test_scale_agrees_with_fraction(a, b, k):
     assert bool(x) is bool(a)
     assert sorted([y, x]) == sorted([b, a])
     assert {x: 1}.get(a) == 1 and {a: 1}.get(x) == 1
+
+
+def test_scale_ne_is_not_eq_against_every_kind():
+    # Scale.__ne__ answers without __eq__; against a type Fraction cannot
+    # compare with it passes NotImplemented on (`not NotImplemented` warns),
+    # so Python falls back to identity, as it does for ==
+    values = [Scale(0), Scale(1, 2), as_scale("1/2"), Scale(2)]
+    others = [*values, ZERO, Fraction(1, 2), Fraction(2), Fraction(0), 0, 2, "1/2", None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in values:
+            for b in others:
+                assert (a != b) is (not (a == b))
+                assert (b != a) is (not (b == a))
+            assert Scale.__ne__(a, "1/2") is Scale.__ne__(a, None) is NotImplemented
 
 
 def test_kept_hash_is_fractions():
