@@ -21,6 +21,12 @@ class SupportMap:
 
     Entries are stored with descending keys; absent keys have value 0,
     and the value at 0 is always 0.  Immutable.
+
+    Checked at the boundary, trusted inside: the public constructor
+    coerces and checks every entry, while ``_from_entries`` stores
+    entries the package built itself (``place``, ``truncate`` and the
+    harness's ``gen_support_map``) unchecked.  Both hand the sorted
+    entries to the one set-up path, ``_adopt``.
     """
 
     __slots__ = ("entries", "_map")
@@ -37,10 +43,19 @@ class SupportMap:
             if k in table:
                 raise ValueError(f"duplicate support key {k}")
             table[k] = value
-        self.entries: tuple[tuple[Fraction, int], ...] = tuple(
-            sorted(table.items(), reverse=True)
-        )
-        self._map = table
+        self._adopt(tuple(sorted(table.items(), reverse=True)))
+
+    @classmethod
+    def _from_entries(cls, entries: Iterable[tuple[Fraction, int]]) -> "SupportMap":
+        """The map of entries the package built: positive, distinct ``Scale``
+        keys in descending order with positive ``int`` values; unchecked."""
+        f = object.__new__(cls)
+        f._adopt(tuple(entries))
+        return f
+
+    def _adopt(self, entries: tuple[tuple[Fraction, int], ...]) -> None:
+        self.entries = entries
+        self._map = dict(entries)
 
     def value_at(self, key: ScaleLike) -> int:
         return self._map.get(as_scale(key), 0)
@@ -99,7 +114,7 @@ def trace(f: SupportMap) -> RangeSet:
 
 def truncate(f: SupportMap, u: Fraction) -> SupportMap:
     """Keep the support keys above ``u``; the result is within ``u`` of ``f``."""
-    return SupportMap((k, v) for k, v in f.entries if k > u)
+    return SupportMap._from_entries([(k, v) for k, v in f.entries if k > u])
 
 
 def place(anchors: Sequence[SupportMap], want: list[Fraction], m: Fraction, i: int) -> SupportMap:
@@ -112,8 +127,9 @@ def place(anchors: Sequence[SupportMap], want: list[Fraction], m: Fraction, i: i
     If every anchor lies in the petal of S and every target belongs to S,
     the result lies in the petal of S as well.
     """
+    m = as_scale(m)  # the one key stored that no anchor supplied
     fresh = 1 + max(anchor._map.get(m, 0) for anchor, t in zip(anchors, want) if t is m or t == m)
-    return SupportMap([(k, v) for k, v in anchors[i].entries if k > m] + [(m, fresh)])
+    return SupportMap._from_entries([(k, v) for k, v in anchors[i].entries if k > m] + [(m, fresh)])
 
 
 def embed_space(space: FiniteUltraSpace) -> dict[str, SupportMap]:

@@ -25,6 +25,13 @@ class CantorFunction:
     ``keys`` and their ``values`` it keeps ``ends``, the right endpoint
     of every cell as ``cells.right_ends`` writes it, for ``nabla``'s
     merge.  Immutable.
+
+    Checked at the boundary, trusted inside: the public constructor
+    coerces every value and checks the cells, while ``_from_cells`` takes
+    cells the package built itself (``place``, ``truncate`` and the
+    harness's ``gen_cantor_function`` and ``_twin_maps``) unchecked.  Both
+    hand them to the one set-up path, ``_adopt``, which merges equal
+    siblings, so the normal form is the same either way.
     """
 
     __slots__ = ("keys", "values", "ends")
@@ -42,6 +49,17 @@ class CantorFunction:
         keys = check_prefixes(table.keys())
         if ZERO not in table.values():
             raise ValueError("the image must contain 0")
+        self._adopt(keys, table)
+
+    @classmethod
+    def _from_cells(cls, keys: Sequence[str], table: Mapping[str, Fraction]) -> "CantorFunction":
+        """The function of cells the package built: ``keys`` sorted, complete and
+        prefix-free, ``table`` giving each a ``Scale``, 0 among them; unchecked."""
+        f = object.__new__(cls)
+        f._adopt(keys, table)
+        return f
+
+    def _adopt(self, keys: Sequence[str], table: Mapping[str, Fraction]) -> None:
         self.keys, self.values = merge_equal_siblings(keys, table)
         self.ends = right_ends(self.keys)
 
@@ -131,7 +149,7 @@ def truncate(f: CantorFunction, u: Fraction) -> CantorFunction:
     The cells keeping their value are exactly those above ``u``, and the
     result still contains 0, so it is again a member, within ``u`` of ``f``.
     """
-    return CantorFunction((k, v if v > u else ZERO) for k, v in f.cells)
+    return CantorFunction._from_cells(f.keys, {k: v if v > u else ZERO for k, v in zip(f.keys, f.values)})
 
 
 def place(anchors: Sequence[CantorFunction], want: list[Fraction], m: Fraction, i: int) -> CantorFunction:
@@ -148,6 +166,7 @@ def place(anchors: Sequence[CantorFunction], want: list[Fraction], m: Fraction, 
     the result lies in the petal of S as well: its values are anchor i's,
     m and 0.
     """
+    m = as_scale(m)  # the one value stored that no anchor supplied
     # the first refined cell where anchor i vanishes lies in its first zero
     # cell z and holds the point z000...: it is the longest anchor cell z+"0"*k
     base = anchors[i]
@@ -164,7 +183,7 @@ def place(anchors: Sequence[CantorFunction], want: list[Fraction], m: Fraction, 
     for depth in range(len(zero_cell), len(split) + 1):  # split is zero_cell + "0" * k
         table[split[:depth] + "1"] = ZERO
     table[split + "0"] = m
-    return CantorFunction(table)
+    return CantorFunction._from_cells(sorted(table), table)
 
 
 __all__ = [

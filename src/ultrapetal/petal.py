@@ -44,7 +44,8 @@ class Model:
 
     def locate(self, anchors: Sequence, want: Sequence):
         """``extend``'s point, unchecked, for ``want`` already exact (``Scale`` or
-        ``Fraction`` values; only ``extend`` coerces); see ``extension.locate``."""
+        ``Fraction`` values; ``extend`` coerces them all, ``place`` the one
+        target it stores); see ``extension.locate``."""
         return extension.locate(*self._construction(), anchors, want)
 
     def _construction(self) -> tuple[Callable, Callable]:

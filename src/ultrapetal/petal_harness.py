@@ -71,8 +71,8 @@ def gen_range_set(rng: random.Random) -> RangeSet:
 def gen_support_map(rng: random.Random, pool: RangeSet = POOL) -> SupportMap:
     positives = pool.positives()
     count = rng.randint(0, min(MAX_SUPPORT, len(positives)))
-    keys = rng.sample(positives, count)
-    return SupportMap({key: rng.randint(1, 3) for key in keys})
+    items = [(key, rng.randint(1, 3)) for key in rng.sample(positives, count)]
+    return SupportMap._from_entries(sorted(items, reverse=True))
 
 
 def gen_partition(rng: random.Random, max_cells: int) -> list[str]:
@@ -88,7 +88,7 @@ def gen_cantor_function(rng: random.Random, pool: RangeSet = POOL) -> CantorFunc
     cells = gen_partition(rng, MAX_SUPPORT)
     values = {cell: gen_scale(rng, pool) for cell in cells}
     values[cells[rng.randrange(len(cells))]] = ZERO
-    return CantorFunction(values)
+    return CantorFunction._from_cells(cells, values)
 
 
 def random_ultrametric_tree(
@@ -164,7 +164,7 @@ def _twin_maps(rng: random.Random, x: CantorFunction) -> CantorFunction:
         value = refined.pop(pick)
         refined[pick + "0"] = value
         refined[pick + "1"] = value
-    return CantorFunction(refined)
+    return CantorFunction._from_cells(sorted(refined), refined)
 
 
 def _twin_cpum(rng: random.Random, d: CantorPseudoUltrametric) -> CantorPseudoUltrametric:

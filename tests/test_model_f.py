@@ -9,10 +9,11 @@ from ultrapetal.model_f import (
     delta,
     embed_space,
     trace,
+    truncate,
 )
 from ultrapetal.petal import F
 from ultrapetal.petal_harness import POOL, TrialConfig, back_and_forth, gen_space, gen_support_map, spawn_rng
-from ultrapetal.scales import RangeSet, ZERO
+from ultrapetal.scales import RangeSet, Scale, ZERO
 from ultrapetal.umspace import FiniteUltraSpace
 
 THREE = FiniteUltraSpace(
@@ -259,3 +260,55 @@ def test_support_map_json_round_trip():
         SupportMap.from_json({"support": [["1/2"]]})
     with pytest.raises(ValueError):
         SupportMap.from_json(["nope"])
+
+
+def _random_petal(rng) -> RangeSet:
+    return RangeSet(Fraction(rng.randint(1, 12), rng.randint(1, 9)) for _ in range(rng.randint(0, 7)))
+
+
+def _consistent_request(rng):
+    # the distances of a hidden point are always a consistent request
+    anchors = [gen_support_map(rng) for _ in range(rng.randint(1, 5))]
+    hidden = gen_support_map(rng)
+    return anchors, [delta(hidden, a) for a in anchors]
+
+
+def _assert_checked_rebuild(made: SupportMap, rebuilt: SupportMap) -> None:
+    # a trusted construction equals its rebuild through the checked
+    # constructor, field by field, and holds only Scale keys
+    assert made.entries == rebuilt.entries
+    assert made._map == rebuilt._map
+    assert all(type(k) is Scale and type(v) is int for k, v in made.entries)
+
+
+def test_trusted_support_maps_match_the_checked_constructor():
+    # every construction through ``_from_entries``: the generator, on POOL
+    # and on random petals, ``truncate`` and ``place``; a truncation is
+    # rebuilt from its definition, the keys of f above u
+    for seed in range(2000):
+        rng = spawn_rng(seed, 31)
+        for f in (gen_support_map(rng), gen_support_map(rng, _random_petal(rng))):
+            _assert_checked_rebuild(f, SupportMap(reversed(f.entries)))
+            for u in sorted({*POOL, *trace(f)}):
+                _assert_checked_rebuild(truncate(f, u), SupportMap({k: v for k, v in f.entries if k > u}))
+        anchors, want = _consistent_request(rng)
+        theta = F.locate(anchors, want)
+        _assert_checked_rebuild(theta, SupportMap(theta.entries))
+        assert [delta(theta, a) for a in anchors] == want
+
+
+def test_locate_stores_a_scale_for_plain_fraction_targets():
+    # Model.locate takes plain Fractions; place coerces the one target it
+    # stores, so the element is extend's, with Scale keys only
+    cases = [([SupportMap({"1": 1}), SupportMap({"1": 2})], [Fraction(1), Fraction(1)])]
+    rng = spawn_rng(32)
+    for _ in range(300):
+        anchors, want = _consistent_request(rng)
+        cases.append((anchors, [Fraction(t) for t in want]))
+    for anchors, want in cases:
+        assert all(type(t) is Fraction for t in want)
+        theta = F.locate(anchors, want)
+        assert theta == F.extend(anchors, want)
+        assert all(type(k) is Scale for k, _ in theta.entries)
+        assert all(type(k) is Scale for k in theta._map)
+    assert F.locate(*cases[0]) == SupportMap({"1": 3})

@@ -25,7 +25,7 @@ from ultrapetal.petal_harness import (
     gen_partition,
     spawn_rng,
 )
-from ultrapetal.scales import RangeSet, ZERO
+from ultrapetal.scales import RangeSet, Scale, ZERO
 
 
 def value_at(fun: CantorFunction, point: str) -> Fraction:
@@ -465,3 +465,59 @@ def test_cantor_function_json_round_trip():
         CantorFunction.from_json({"cells": [["0", "1"]]})
     with pytest.raises(ValueError):
         CantorFunction.from_json({"cells": "zzz"})
+
+
+def _random_petal(rng) -> RangeSet:
+    return RangeSet(Fraction(rng.randint(1, 12), rng.randint(1, 9)) for _ in range(rng.randint(0, 7)))
+
+
+def _consistent_request(rng):
+    # the distances of a hidden point are always a consistent request
+    anchors = [gen_cantor_function(rng) for _ in range(rng.randint(1, 5))]
+    hidden = gen_cantor_function(rng)
+    return anchors, [nabla(hidden, a) for a in anchors]
+
+
+def _assert_checked_rebuild(made: CantorFunction, rebuilt: CantorFunction) -> None:
+    # a trusted construction equals its rebuild through the checked
+    # constructor, field by field, and holds only Scale values
+    assert made.keys == rebuilt.keys
+    assert made.values == rebuilt.values
+    assert made.ends == rebuilt.ends
+    assert all(type(v) is Scale for v in made.values)
+
+
+def test_trusted_cantor_functions_match_the_checked_constructor():
+    # every construction through ``_from_cells``: the generator, on POOL and
+    # on random petals, ``_twin_maps``, ``truncate`` and ``place``; a
+    # truncation is rebuilt from its definition, values at most u flattened
+    for seed in range(2000):
+        rng = spawn_rng(seed, 53)
+        for f in (gen_cantor_function(rng), gen_cantor_function(rng, _random_petal(rng))):
+            _assert_checked_rebuild(f, CantorFunction(f.cells[::-1]))
+            twin = _twin_maps(rng, f)
+            _assert_checked_rebuild(twin, CantorFunction(f.cells))
+            for u in sorted({*POOL, *trace(f)}):
+                flat = CantorFunction({k: v if v > u else ZERO for k, v in f.cells})
+                _assert_checked_rebuild(truncate(f, u), flat)
+        anchors, want = _consistent_request(rng)
+        theta = MAPS.locate(anchors, want)
+        _assert_checked_rebuild(theta, CantorFunction(theta.cells))
+        assert [nabla(theta, a) for a in anchors] == want
+
+
+def test_locate_stores_a_scale_for_plain_fraction_targets():
+    # Model.locate takes plain Fractions; place coerces the one target it
+    # stores, so the element is extend's, with Scale values only
+    two = [zero_function(), CantorFunction({"0": "1", "1": "0"})]
+    cases = [(two, [Fraction(1, 2), Fraction(1)])]
+    rng = spawn_rng(54)
+    for _ in range(300):
+        anchors, want = _consistent_request(rng)
+        cases.append((anchors, [Fraction(t) for t in want]))
+    for anchors, want in cases:
+        assert all(type(t) is Fraction for t in want)
+        theta = MAPS.locate(anchors, want)
+        assert theta == MAPS.extend(anchors, want)
+        assert all(type(v) is Scale for v in theta.values)
+    assert MAPS.locate(*cases[0]) == CantorFunction({"00": "1/2", "01": "0", "1": "0"})

@@ -14,7 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCRIPT = """
+PREAMBLE = """
 import importlib.util, json, sys
 root = sys.argv[1]
 sys.path.insert(0, root + "/src")
@@ -28,6 +28,9 @@ for name in ("scales", "cells", "umspace", "extension", "model_f", "model_maps",
 modules = {name.rsplit(".", 1)[-1]: mod for name, mod in sys.modules.items()
            if name.startswith("ultrapetal.")}
 modules["ultrapetal"] = ultrapetal
+"""
+
+SCRIPT = PREAMBLE + """
 trace = layer_trace.LayerTrace()
 trace.install(modules)
 try:
@@ -58,3 +61,44 @@ def test_tracer_rebinds_every_traced_function():
         "model_f.embed_space": 1,
         "extension.verify_extension": 2,
     }
+
+
+# a small run of each workload's kind of op, under a fresh tracer each;
+# a layer whose traced functions record no call is printed as silent, by
+# the rule perfbench/run.py applies before it exits 3
+LIVENESS = PREAMBLE + """
+sys.path.insert(0, root + "/perfbench")
+import workloads
+ph = modules["petal_harness"]
+runs = {
+    "backforth": lambda: (ph.back_and_forth(ph.TrialConfig(seed=1, trials=5)),
+                          ph.ultrahomogeneity_demo(ph.TrialConfig(seed=1, trials=5), subset_size=3)),
+    "axioms": lambda: [ph.run_property(model, tag, ph.TrialConfig(seed=1, trials=workloads.AXIOM_TRIALS[0]))
+                       for model, tags in workloads.AXIOM_PROPERTIES.items() for tag in tags],
+}
+silent = {}
+for workload, run in runs.items():
+    trace = layer_trace.LayerTrace()
+    trace.install(modules)
+    try:
+        run()
+    finally:
+        trace.uninstall()
+    silent[workload] = [
+        layer for layer in workloads.EXPECTED_LAYERS[workload]
+        if not any(trace.count(layer_trace.metric_name(*t)) for t in layer_trace.TARGETS if t[0] == layer)
+    ]
+print(json.dumps(silent))
+"""
+
+
+def test_traced_workload_ops_reach_every_expected_layer():
+    # a layer reached only through a path the package no longer takes makes
+    # a traced benchmark run exit 3; back-and-forth reaches cells only
+    # through maps' origin (zero_function) and extension only through the
+    # homogeneity copy's checked extend
+    run = subprocess.run(
+        [sys.executable, "-c", LIVENESS, str(ROOT)], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"backforth": [], "axioms": []}
