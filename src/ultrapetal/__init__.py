@@ -16,7 +16,7 @@ from .umspace import (
     SpaceError,
 )
 from .extension import Inconsistent
-from .model_f import SupportMap, delta, embed_space
+from .model_f import SupportMap, delta
 from .model_maps import CantorFunction, nabla, zero_function
 from .model_cpum import CantorPseudoUltrametric, ud
 from .model_gh import GHPoint, TooLarge, na_distance, na_oracle
@@ -45,7 +45,6 @@ __all__ = [
     "Inconsistent",
     "SupportMap",
     "delta",
-    "embed_space",
     "CantorFunction",
     "nabla",
     "zero_function",

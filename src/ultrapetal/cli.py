@@ -14,10 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import model_f, model_gh, petal_harness
+from . import model_gh, petal_harness
 from .extension import Inconsistent
-from .model_gh import GHPoint
-from .petal import MODELS
+from .petal import F, GH, MODELS
 from .scales import RangeSet
 from .umspace import FiniteUltraSpace, NotPositive, NotSymmetric, NotUltrametric
 
@@ -153,14 +152,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "embed":
-        images = model_f.embed_space(_load_space(args.space))
+        images = F.embed(_load_space(args.space))
         print(json.dumps({label: m.to_json() for label, m in images.items()}, indent=2))
         return 0
 
     if args.command == "na":
-        x = GHPoint(_load_space(args.x))
-        y = GHPoint(_load_space(args.y))
-        value = model_gh.na_oracle(x, y) if args.oracle else model_gh.na_distance(x, y)
+        x, y = (GH.from_json(_read_json(path)) for path in (args.x, args.y))
+        value = model_gh.na_oracle(x, y) if args.oracle else GH.metric(x, y)
         print(value)
         return 0
 

@@ -2,7 +2,8 @@
 
 The model registry (``petal.Model``) supplies each model's metric, its
 origin and its placement ``place``; ``locate`` holds the policy,
-``extend`` adds the exact check, ``embed`` the finite case.
+``extend`` adds the exact check, and ``embed`` places a finite point
+set in a given order (``Model.embed`` passes a space's label order).
 """
 
 from __future__ import annotations

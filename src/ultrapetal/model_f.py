@@ -11,9 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .extension import embed, extend
 from .scales import RangeSet, ScaleLike, ZERO, as_scale
-from .umspace import FiniteUltraSpace
 
 
 class SupportMap:
@@ -132,24 +130,10 @@ def place(anchors: Sequence[SupportMap], want: list[Fraction], m: Fraction, i: i
     return SupportMap._from_entries([(k, v) for k, v in anchors[i].entries if k > m] + [(m, fresh)])
 
 
-def embed_space(space: FiniteUltraSpace) -> dict[str, SupportMap]:
-    """Isometric embedding of a finite ultrametric space.
-
-    Points are processed in label order, the first one landing on the
-    zero map and each later one placed by a one-point extension; the
-    image reproduces the distance matrix exactly.
-    """
-    def extend_one(anchors, targets):  # petal.F.extend, which cannot be imported here
-        return extend(delta, SupportMap, place, anchors, targets)
-
-    return embed(extend_one, sorted(space.labels), space.d)
-
-
 __all__ = [
     "SupportMap",
     "delta",
     "trace",
     "truncate",
     "place",
-    "embed_space",
 ]

@@ -25,9 +25,9 @@ class Model:
     these two alone.  Where the model has a constructive one-point
     extension, ``origin()`` is its point for no anchors and
     ``place(anchors, want, m, i)`` its new point away from every anchor;
-    ``locate`` places the extension by these two and ``extend`` also
-    checks it with ``metric``; on a model without them both raise
-    NotImplementedError.
+    ``locate`` places the extension by these two, ``extend`` also checks
+    it with ``metric``, and ``embed`` copies a finite space by ``extend``;
+    on a model without them all three raise NotImplementedError.
     """
 
     name: str
@@ -47,6 +47,14 @@ class Model:
         ``Fraction`` values; ``extend`` coerces them all, ``place`` the one
         target it stores); see ``extension.locate``."""
         return extension.locate(*self._construction(), anchors, want)
+
+    def embed(self, space) -> dict:
+        """Isometric copy of a finite ultrametric space, as a dict from label to element.
+
+        The points are placed in label order, each by the checked ``extend``
+        at its distances from the points before it; see ``extension.embed``.
+        """
+        return extension.embed(self.extend, sorted(space.labels), space.d)
 
     def _construction(self) -> tuple[Callable, Callable]:
         if self.place is None:

@@ -402,7 +402,7 @@ def _first_miss(space: FiniteUltraSpace, *copies: tuple[dict, Callable]) -> dict
 
 def _check_embed_f(ops: _Sampler, rng, t):
     space = gen_space(rng, max_points=10)
-    return _first_miss(space, (model_f.embed_space(space), model_f.delta))
+    return _first_miss(space, (ops.model.embed(space), ops.model.metric))
 
 
 def _check_canonical_maps(ops: _Sampler, rng, t):
@@ -416,9 +416,7 @@ def _check_canonical_maps(ops: _Sampler, rng, t):
 def _check_cross_model(ops: _Sampler, rng, t):
     # one space, embedded independently in both models, same matrix
     space = gen_space(rng, max_points=8)
-    f_images = model_f.embed_space(space)
-    m_images = embed(ops.model.extend, sorted(space.labels), space.d)
-    return _first_miss(space, (f_images, model_f.delta), (m_images, model_maps.nabla))
+    return _first_miss(space, (F.embed(space), F.metric), (ops.model.embed(space), ops.model.metric))
 
 
 def _check_oracle_gh(ops: _Sampler, rng, t):

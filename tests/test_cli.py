@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from injection import extending
 
-from ultrapetal import cli, model_f, petal_harness
+from ultrapetal import cli, petal_harness
 from ultrapetal.cli import main
 from ultrapetal.extension import Inconsistent
 from ultrapetal.petal import F, MAPS, MODELS
@@ -399,14 +399,20 @@ def test_harness_rejected_realisable_request_is_a_fail_line(capsys, monkeypatch)
 
 
 def test_harness_rejected_embedding_is_a_fail_line(capsys, monkeypatch):
-    monkeypatch.setattr(model_f, "place", _placing_at_anchor)
+    # the record holds its own placement, so the broken one goes into a copy
+    # of it; the extension and embedding checks both place through it
+    sampler = dataclasses.replace(petal_harness._F, model=dataclasses.replace(F, place=_placing_at_anchor))
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", sampler)
     ok, n, failure = petal_harness.run_property("f", "finite-embedding", petal_harness.TrialConfig(seed=7, trials=50))
     assert not ok
     assert failure == {"trial": 1, "raised": "Inconsistent", "message": str(Inconsistent(0, 0))}
     assert main(["harness", "--model", "f", "--seed", "7", "--trials", "50"]) == 1
     captured = capsys.readouterr()
-    assert "finite-embedding embed_space_reproduces_matrix FAIL trials=5 seed=7 counterexample=-" in captured.out
-    assert captured.out.count(" FAIL ") == 1 and captured.err == ""
+    assert [line for line in captured.out.splitlines() if " FAIL " in line] == [
+        "one-point-extension extension_exact_preserving_rejecting FAIL trials=5 seed=7 counterexample=-",
+        "finite-embedding embed_space_reproduces_matrix FAIL trials=5 seed=7 counterexample=-",
+    ]
+    assert captured.err == ""
 
 
 def _off_at_one_target(anchors, targets):
@@ -439,6 +445,17 @@ def _raising(anchors, targets):
     raise RuntimeError("placement lost")
 
 
+# the faults the embedding check meets too, and its record: the copy of
+# four points at 1/2 lands p1 on p0, and a raising extension fails at once
+_EMBEDDING_FAILURES = {
+    _off_at_one_target: {"trial": 1, "pair": ["p0", "p1"], "space": {
+        "points": ["p0", "p1", "p2", "p3"],
+        "dist": [["0" if i == j else "1/2" for j in range(4)] for i in range(4)],
+    }},
+    _raising: {"trial": 0, "raised": "RuntimeError", "message": "placement lost"},
+}
+
+
 @pytest.mark.parametrize("broken, key, value, more", [
     (_off_at_one_target, "violated", "distance", {"anchors", "targets"}),
     (_outside_petal, "violated", "petal-preservation", {"anchors", "targets", "S"}),
@@ -447,19 +464,27 @@ def _raising(anchors, targets):
 ])
 def test_harness_extension_fault_is_a_dumped_fail_line(broken, key, value, more, tmp_path, capsys, monkeypatch):
     # every way a one-point extension on f can be wrong reaches the report
-    # as one FAIL line, and its counterexample file holds the record
+    # as a FAIL line, and its counterexample file holds the record; the
+    # finite embedding places by the same extension, so a fault it meets
+    # is a second FAIL line with a file of its own
     monkeypatch.setitem(petal_harness.SAMPLERS, "f", extending(petal_harness._F, broken))
     cfg = petal_harness.TrialConfig(seed=7, trials=50)
     ok, n, failure = petal_harness.run_property("f", "one-point-extension", cfg)
     assert not ok and n == 5 and failure[key] == value and set(failure) == {"trial", key, *more}
+    embedding = _EMBEDDING_FAILURES.get(broken)
+    assert petal_harness.run_property("f", "finite-embedding", cfg) == (embedding is None, 5, embedding)
     assert main(["harness", "--model", "f", "--seed", "7", "--trials", "50", "--dump-dir", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     dump = tmp_path / "f_extension_exact_preserving_rejecting.json"
-    fail_line = f"one-point-extension extension_exact_preserving_rejecting FAIL trials=5 seed=7 counterexample={dump}"
-    assert fail_line in captured.out.splitlines() and captured.out.count(" FAIL ") == 1
+    dumps = {dump: failure}
+    fail_lines = [f"one-point-extension extension_exact_preserving_rejecting FAIL trials=5 seed=7 counterexample={dump}"]
+    if embedding is not None:
+        embed_dump = tmp_path / "f_embed_space_reproduces_matrix.json"
+        dumps[embed_dump] = embedding
+        fail_lines.append(f"finite-embedding embed_space_reproduces_matrix FAIL trials=5 seed=7 counterexample={embed_dump}")
+    assert [line for line in captured.out.splitlines() if " FAIL " in line] == fail_lines
     assert captured.err == ""
-    assert json.loads(dump.read_text()) == failure
-    assert [path.name for path in tmp_path.iterdir()] == [dump.name]
+    assert {path: json.loads(path.read_text()) for path in tmp_path.iterdir()} == dumps
 
 
 def test_harness_makes_a_missing_dump_dir_on_the_first_failure(tmp_path, capsys, monkeypatch):
@@ -474,12 +499,17 @@ def test_harness_makes_a_missing_dump_dir_on_the_first_failure(tmp_path, capsys,
     assert main(argv) == 1
     captured = capsys.readouterr()
     dump = dump_dir / "f_extension_exact_preserving_rejecting.json"
+    embed_dump = dump_dir / "f_embed_space_reproduces_matrix.json"
     lines = captured.out.splitlines()
     assert len(lines) == 1 + len(sampler.suite)
-    assert f"one-point-extension extension_exact_preserving_rejecting FAIL trials=2 seed=7 counterexample={dump}" in lines
-    assert captured.out.count(" FAIL ") == 1 and captured.err == ""
+    assert [line for line in lines if " FAIL " in line] == [
+        f"one-point-extension extension_exact_preserving_rejecting FAIL trials=2 seed=7 counterexample={dump}",
+        f"finite-embedding embed_space_reproduces_matrix FAIL trials=2 seed=7 counterexample={embed_dump}",
+    ]
+    assert captured.err == ""
     assert json.loads(dump.read_text())["raised"] == "RuntimeError"
-    assert [path.name for path in dump_dir.iterdir()] == [dump.name]
+    assert json.loads(embed_dump.read_text())["raised"] == "RuntimeError"
+    assert sorted(path.name for path in dump_dir.iterdir()) == [embed_dump.name, dump.name]
 
 
 def test_harness_refuses_a_dump_dir_that_is_a_file(tmp_path, capsys, monkeypatch):

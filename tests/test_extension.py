@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from ultrapetal import model_f
 from ultrapetal.extension import Inconsistent, embed, locate, violating_pair
 from ultrapetal.model_f import SupportMap
 from ultrapetal.model_maps import CantorFunction
@@ -53,7 +52,7 @@ def test_pinned_extension_outcomes():
     }
     rng = spawn_rng(11, 2)
     record["embed"] = [
-        {label: m.to_json() for label, m in model_f.embed_space(gen_space(rng, max_points=10)).items()}
+        {label: m.to_json() for label, m in F.embed(gen_space(rng, max_points=10)).items()}
         for _ in range(300)
     ]
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
@@ -82,6 +81,23 @@ def test_embed_in_sorted_order_matches_label_order_reference():
                 assert [(k, v.to_json()) for k, v in got.items()] == [
                     (k, v.to_json()) for k, v in want.items()
                 ]
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=lambda m: m.name)
+def test_model_embed_reproduces_random_matrices(model):
+    # each model with a placement copies every space exactly under its own
+    # metric; a model without one names itself on the first point
+    rng = spawn_rng(43)
+    for _ in range(60):
+        space = gen_space(rng, max_points=10)
+        if model.place is None:
+            with pytest.raises(NotImplementedError, match=f"model {model.name} "):
+                model.embed(space)
+            continue
+        images = model.embed(space)
+        for a in space.labels:
+            for b in space.labels:
+                assert model.metric(images[a], images[b]) == space.d(a, b)
 
 
 def _support_maps():

@@ -449,22 +449,24 @@ def _own_first_miss(space, images, metric):
 
 
 def test_embedding_checks_report_first_missed_pair(monkeypatch):
+    # every copy goes through Model.embed: the f check's copy is the last,
+    # the cross-model check's f copy the second last and its maps copy the last
     swaps = spawn_rng(5, 0)
-    f_copies, m_copies = [], []
-    monkeypatch.setattr(model_f, "embed_space", _swapping(model_f.embed_space, f_copies, swaps))
-    monkeypatch.setattr(petal_harness, "embed", _swapping(embed, m_copies, swaps))
+    copies = []
+    monkeypatch.setattr(Model, "embed", _swapping(Model.embed, copies, swaps))
     rng = spawn_rng(5, 1)
     caught = 0
     for t in range(200):
         failure = petal_harness._check_embed_f(_F, rng, t)
-        (space,), f_images = f_copies[-1]
+        (_, space), f_images = copies[-1]
         assert failure == _embed_f_by_hand(space, f_images)
         caught += failure is not None
     assert caught > 50
     caught = split = 0
     for t in range(200):
         failure = petal_harness._check_cross_model(_MAPS, rng, t)
-        ((space,), f_images), (_, m_images) = f_copies[-1], m_copies[-1]
+        ((f_model, space), f_images), ((m_model, _), m_images) = copies[-2], copies[-1]
+        assert (f_model, m_model) == (F, _MAPS.model)
         assert failure == _cross_model_by_hand(space, f_images, m_images)
         if failure is None:
             continue

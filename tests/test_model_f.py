@@ -7,12 +7,11 @@ from ultrapetal.extension import Inconsistent
 from ultrapetal.model_f import (
     SupportMap,
     delta,
-    embed_space,
     trace,
     truncate,
 )
 from ultrapetal.petal import F
-from ultrapetal.petal_harness import POOL, TrialConfig, back_and_forth, gen_space, gen_support_map, spawn_rng
+from ultrapetal.petal_harness import POOL, TrialConfig, back_and_forth, gen_support_map, spawn_rng
 from ultrapetal.scales import RangeSet, Scale, ZERO
 from ultrapetal.umspace import FiniteUltraSpace
 
@@ -223,26 +222,16 @@ def test_one_point_extension_petal_preservation():
 
 def test_embed_space_examples():
     single = FiniteUltraSpace(["only"], [["0"]])
-    assert embed_space(single) == {"only": SupportMap()}
+    assert F.embed(single) == {"only": SupportMap()}
 
     two = FiniteUltraSpace(["p", "q"], [["0", "1"], ["1", "0"]])
-    images = embed_space(two)
+    images = F.embed(two)
     assert images["p"] == SupportMap() and images["q"] == SupportMap({"1": 1})
 
-    images = embed_space(THREE)
+    images = F.embed(THREE)
     for a in THREE.labels:
         for b in THREE.labels:
             assert delta(images[a], images[b]) == THREE.d(a, b)
-
-
-def test_embed_space_random_matrices():
-    rng = spawn_rng(43)
-    for _ in range(60):
-        space = gen_space(rng, max_points=10)
-        images = embed_space(space)
-        for a in space.labels:
-            for b in space.labels:
-                assert delta(images[a], images[b]) == space.d(a, b)
 
 
 def test_covering_petal_examples():

@@ -108,6 +108,45 @@ def test_hash_check_sees_each_form():
     assert unhashed_eq_classes(source) == ["line 1: A"]
 
 
+def package_imports(source: str) -> list[str]:
+    """The package modules a source imports, at any depth, in ``ast.walk`` order."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # the package is flat: a relative import names one of its modules
+                base = f"ultrapetal.{base}" if base else "ultrapetal"
+            names += [f"{base}.{alias.name}" for alias in node.names] if base == "ultrapetal" else [base]
+    return [name.split(".")[1] for name in names if name.startswith("ultrapetal.")]
+
+
+# a model module holds its primitives only: the extension, the finite
+# embedding and the registry are built on the models and import them
+PRIMITIVES = {"cells", "scales", "umspace"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem.startswith("model_")], ids=lambda p: p.name)
+def test_model_modules_import_primitives_only(path):
+    assert set(package_imports(path.read_text())) <= PRIMITIVES
+
+
+def test_package_import_check_sees_each_form():
+    source = (
+        "import json, ultrapetal\n"
+        "from fractions import Fraction\n"
+        "from .scales import ZERO\n"
+        "from . import cells, extension as ext\n"
+        "import ultrapetal.petal\n"
+        "from ultrapetal.umspace import FiniteUltraSpace\n"
+        "from ultrapetal import model_f\n"
+        "def f():\n"
+        "    from .petal import F\n"
+    )
+    assert package_imports(source) == ["scales", "cells", "extension", "petal", "umspace", "model_f", "petal"]
+
+
 @pytest.mark.parametrize("module", ["ultrapetal"] + [f"ultrapetal.{p.stem}" for p in MODULES if p.stem.startswith("model_")])
 def test_public_names_resolve(module):
     # a name dropped from a module but left in its __all__ fails here
