@@ -17,10 +17,9 @@ def check_prefixes(prefixes: Iterable[str]) -> tuple[str, ...]:
     """Validate and sort a complete prefix-free set of binary strings.
 
     One pass over the sorted keys.  Extensions of a key sort contiguously
-    right after it, so one adjacent check decides prefix-freeness.
-    Siblings are adjacent too, so a stack folds each right sibling ``p1``
-    with the ``p0`` just below it into ``p``, and the cells are complete
-    exactly when they fold into the empty prefix.
+    right after it, so one adjacent check decides prefix-freeness.  The
+    cells are then complete exactly when ``merge_equal_siblings``, with
+    every value equal, folds them into the empty prefix.
     """
     keys = list(prefixes)
     if not keys:
@@ -31,17 +30,10 @@ def check_prefixes(prefixes: Iterable[str]) -> tuple[str, ...]:
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate cell prefixes")
     keys.sort()
-    stack: list[str] = []
-    prev = None
-    for key in keys:
-        if prev is not None and key.startswith(prev):
+    for prev, key in zip(keys, keys[1:]):
+        if key.startswith(prev):
             raise ValueError(f"cell {prev!r} is a prefix of cell {key!r}")
-        prev = key
-        while stack and key.endswith("1") and stack[-1] == key[:-1] + "0":
-            stack.pop()
-            key = key[:-1]
-        stack.append(key)
-    if stack != [""]:
+    if merge_equal_siblings(keys, dict.fromkeys(keys))[0] != ("",):
         total = sum(Fraction(1, 2 ** len(k)) for k in keys)
         raise ValueError(f"cells cover measure {total}, not the whole space")
     return tuple(keys)
@@ -52,9 +44,11 @@ def merge_equal_siblings(keys: Sequence[str], values: Mapping[str, V]) -> tuple[
 
     Replaces sibling cells carrying equal values by their parent, up the
     tree as far as the values stay equal; the normal form is unique.
-    The same fold as ``check_prefixes``, on the keys it returns (sorted,
-    complete, prefix-free), folding only equal-valued siblings.  Returns
-    the merged keys, still sorted, and their values.
+    ``keys`` must be sorted and prefix-free, so siblings are adjacent and
+    a stack folds each right sibling ``p1`` with the ``p0`` just below it
+    into ``p``.  Returns the merged keys, still sorted, and their values;
+    ``check_prefixes`` calls it with every value equal to test
+    completeness.
     """
     merged: list[str] = []
     held: list[V] = []

@@ -1,16 +1,16 @@
-"""The constructive one-point extension, written once for every model.
+"""The model-free parts of the one-point extension.
 
-The model registry (``petal.Model``) supplies each model's metric, its
-origin and its placement ``place``; ``locate`` holds the policy,
-``extend`` adds the exact check, and ``embed`` places a finite point
-set in a given order (``Model.embed`` passes a space's label order).
+The extension itself is the model registry's: ``petal.Model.locate``
+holds the policy and ``petal.Model.extend`` checks its point by
+``verify_extension``.  This module keeps that exact check, the
+consistency witness ``violating_pair`` it reports through
+``Inconsistent``, and ``embed``, which places a finite point set in a
+given order (``Model.embed`` passes a space's label order).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
-
-from .scales import ScaleLike, as_scale
 
 
 class Inconsistent(ValueError):
@@ -58,45 +58,6 @@ def verify_extension(
             if pair is None:
                 pair = (idx, idx)
             raise Inconsistent(*pair)
-
-
-def locate(origin: Callable, place: Callable, anchors: Sequence, want: Sequence):
-    """The extension policy alone: a candidate point for the exact targets ``want``.
-
-    ``want`` holds exact ``Scale`` or ``Fraction`` values; only ``extend``
-    coerces.  With no anchors this is ``origin()``; the first zero target
-    pins it to that anchor; otherwise, with m the least target and i* the
-    first index attaining it, it is ``place(anchors, want, m, i*)``.  The
-    targets are scanned once and compared by integer cross-multiplication,
-    so m is the first least target object.  Nothing is checked beyond the
-    lengths: a caller that does not measure the point itself calls
-    ``extend``.
-    """
-    if len(want) != len(anchors):
-        raise ValueError("anchors and targets must have equal length")
-    if not anchors:
-        return origin()
-    m, mn, md, first = None, 1, 0, 0  # mn/md = 1/0 lies above every target
-    for i, t in enumerate(want):
-        tn, td = t._numerator, t._denominator
-        if not tn:
-            return anchors[i]
-        if tn * md < mn * td:
-            m, mn, md, first = t, tn, td, i
-    return place(anchors, want, m, first)
-
-
-def extend(metric: Callable, origin: Callable, place: Callable, anchors: Sequence, targets: Sequence[ScaleLike]):
-    """A point at the prescribed distances from each anchor.
-
-    The point is ``locate``'s; every target is checked exactly, and
-    Inconsistent names a violating pair.
-    """
-    want = [as_scale(t) for t in targets]
-    theta = locate(origin, place, anchors, want)
-    if anchors:  # the origin has no target to miss
-        verify_extension(metric, theta, anchors, want)
-    return theta
 
 
 def embed(extend_one: Callable, order: Sequence, d: Callable) -> dict:

@@ -25,9 +25,10 @@ class Model:
     these two alone.  Where the model has a constructive one-point
     extension, ``origin()`` is its point for no anchors and
     ``place(anchors, want, m, i)`` its new point away from every anchor;
-    ``locate`` places the extension by these two, ``extend`` also checks
-    it with ``metric``, and ``embed`` copies a finite space by ``extend``;
-    on a model without them all three raise NotImplementedError.
+    ``locate`` holds the extension's policy, ``extend`` also checks its point
+    with ``metric``, and ``embed`` copies a finite space by ``extend``; on a
+    model without them all three raise NotImplementedError before any target
+    is read.
     """
 
     name: str
@@ -39,14 +40,40 @@ class Model:
     place: Optional[Callable] = None
 
     def extend(self, anchors: Sequence, targets: Sequence[ScaleLike]):
-        """A point at the distances ``targets`` from ``anchors``; see ``extension.extend``."""
-        return extension.extend(self.metric, *self._construction(), anchors, targets)
+        """``locate``'s point at the distances ``targets`` from ``anchors``, each
+        checked exactly by ``extension.verify_extension``, which raises Inconsistent."""
+        self._require_place()
+        want = [as_scale(t) for t in targets]
+        theta = self.locate(anchors, want)
+        if anchors:  # the origin has no target to miss
+            extension.verify_extension(self.metric, theta, anchors, want)
+        return theta
 
     def locate(self, anchors: Sequence, want: Sequence):
-        """``extend``'s point, unchecked, for ``want`` already exact (``Scale`` or
-        ``Fraction`` values; ``extend`` coerces them all, ``place`` the one
-        target it stores); see ``extension.locate``."""
-        return extension.locate(*self._construction(), anchors, want)
+        """The extension policy alone: a candidate point for the exact targets ``want``.
+
+        ``want`` holds exact ``Scale`` or ``Fraction`` values; only ``extend``
+        coerces, and ``place`` the one target it stores.  With no anchors
+        this is ``origin()``; the first zero target pins it to that anchor;
+        otherwise, with m the least target and i* the first index attaining
+        it, it is ``place(anchors, want, m, i*)``.  The targets are scanned
+        once and compared by integer cross-multiplication, so m is the first
+        least target object.  Nothing is checked beyond the lengths: a caller
+        that does not measure the point itself calls ``extend``.
+        """
+        self._require_place()
+        if len(want) != len(anchors):
+            raise ValueError("anchors and targets must have equal length")
+        if not anchors:
+            return self.origin()
+        m, mn, md, first = None, 1, 0, 0  # mn/md = 1/0 lies above every target
+        for i, t in enumerate(want):
+            tn, td = t._numerator, t._denominator
+            if not tn:
+                return anchors[i]
+            if tn * md < mn * td:
+                m, mn, md, first = t, tn, td, i
+        return self.place(anchors, want, m, first)
 
     def embed(self, space) -> dict:
         """Isometric copy of a finite ultrametric space, as a dict from label to element.
@@ -56,10 +83,9 @@ class Model:
         """
         return extension.embed(self.extend, sorted(space.labels), space.d)
 
-    def _construction(self) -> tuple[Callable, Callable]:
+    def _require_place(self) -> None:
         if self.place is None:
             raise NotImplementedError(f"model {self.name} has no constructive one-point extension")
-        return self.origin, self.place
 
     def in_petal(self, x, s: RangeSet) -> bool:
         return self.trace(x).issubset(s)

@@ -9,7 +9,7 @@ def extending(sampler, extend):
     ``extend`` replaces the record's whole extension, checked and unchecked:
     it shadows both ``Model.extend`` (the harness checks and embeddings) and
     ``Model.locate`` (the back-and-forth steps), so the exact check in
-    ``extension.extend`` never runs and the harness's own checks must catch
+    ``Model.extend`` never runs and the harness's own checks must catch
     the fault.  Both are methods, so the copy of the frozen record shadows
     them as instance attributes.
     """

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultrapetal.extension import Inconsistent, embed, locate, violating_pair
+from ultrapetal.extension import Inconsistent, embed, violating_pair
 from ultrapetal.model_f import SupportMap
 from ultrapetal.model_maps import CantorFunction
 from ultrapetal.petal import F, MAPS, MODELS
@@ -182,12 +183,13 @@ def test_locate_matches_reference_policy():
     rng = spawn_rng(11, 4)
     forms = (lambda v: v, lambda v: as_scale(str(v)), Fraction)
     anchors = [object() for _ in range(8)]
-    assert locate(SupportMap, _spy_place, [], []) == _ref_locate(SupportMap, _spy_place, [], []) == SupportMap()
+    spy = dataclasses.replace(F, place=_spy_place)
+    assert spy.locate([], []) == _ref_locate(SupportMap, _spy_place, [], []) == SupportMap()
     pinned = placed = 0
     for _ in range(3000):
         n = rng.randint(1, 8)
         want = [rng.choice(forms)(rng.choice(POOL.elems)) for _ in range(n)]
-        got = locate(SupportMap, _spy_place, anchors[:n], want)
+        got = spy.locate(anchors[:n], want)
         ref = _ref_locate(SupportMap, _spy_place, anchors[:n], want)
         if type(ref) is tuple:
             placed += 1
@@ -197,7 +199,7 @@ def test_locate_matches_reference_policy():
             assert got is ref, want
     assert pinned > 1000 and placed > 1000
     with pytest.raises(ValueError, match="equal length"):
-        locate(SupportMap, _spy_place, anchors[:2], [ZERO])
+        spy.locate(anchors[:2], [ZERO])
 
 
 @pytest.mark.parametrize("model", [m for m in MODELS.values() if not m.place], ids=lambda m: m.name)
@@ -208,6 +210,7 @@ def test_model_without_extension_names_itself(model):
     message = f"model {model.name} has no constructive one-point extension"
     for call, anchors, targets in [
         (model.extend, [], []), (model.extend, [x], ["0"]), (model.extend, [x], ["1"]),
+        (model.extend, [x], ["-1"]), (model.extend, [x], [0.5]),
         (model.locate, [], []), (model.locate, [x], [ZERO]),
     ]:
         with pytest.raises(NotImplementedError) as err:
