@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .scales import RangeSet, ScaleLike, ZERO, as_scale
+from .scales import RangeSet, Scale, ScaleLike, ZERO, as_scale
 from .umspace import FiniteUltraSpace
 
 
@@ -23,16 +23,22 @@ class GHPoint:
     """A finite ultrametric space held up to isometry.
 
     Equality and hashing go through the canonical form, so relabelled
-    copies compare equal.  Immutable.
+    copies compare equal.  Immutable, so the code of each quotient is
+    read off the dendrogram once and kept, keyed by its ``Scale``: a
+    point met again (a corpus point of the oracle gate, the fixed side
+    of many distances) is not encoded again.  The canonical form is the
+    code at 0.  The dict is made empty with the point, which costs a
+    one-shot point less than making it on first use.
     """
 
-    __slots__ = ("space",)
+    __slots__ = ("space", "_codes")
 
     def __init__(self, space: FiniteUltraSpace):
         self.space = space
+        self._codes: dict[Scale, str] = {}
 
     def canonical_form(self) -> str:
-        return self.space.canonical_form()
+        return self.quotient_canon(ZERO)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GHPoint) and self.canonical_form() == other.canonical_form()
@@ -51,8 +57,14 @@ class GHPoint:
         return cls(FiniteUltraSpace.from_json(data))
 
     def quotient_canon(self, eps: ScaleLike) -> str:
-        """Canonical form of the eps-quotient, read off the dendrogram."""
-        return self.space.dendrogram().encode(as_scale(eps))
+        """Canonical form of the eps-quotient, read off the dendrogram once."""
+        # coerce before the lookup: 0.5 == Fraction(1, 2) and both hash alike,
+        # so a raw key would find the 1/2 code where as_scale refuses a float
+        scale = as_scale(eps)
+        code = self._codes.get(scale)
+        if code is None:
+            code = self._codes[scale] = self.space.dendrogram().encode(scale)
+        return code
 
 
 def na_distance(x: GHPoint, y: GHPoint) -> Fraction:

@@ -421,10 +421,13 @@ def _check_cross_model(ops: _Sampler, rng, t):
 
 def _check_oracle_gh(ops: _Sampler, rng, t):
     if t == 0:
-        # the exhaustive corpus is swept once, before the random pairs
-        for x in small_corpus():
-            for y in small_corpus():
-                if na_distance(x, y) != na_oracle(x, y):
+        # the exhaustive corpus is swept once per run, before the random
+        # pairs: na_distance measures every pair on every run, against
+        # reference values that only depend on the corpus and are kept
+        corpus = small_corpus()
+        for x, want_row in zip(corpus, _corpus_oracle(corpus)):
+            for y, want in zip(corpus, want_row):
+                if na_distance(x, y) != want:
                     return {"corpus": True, "x": x.space.to_json(), "y": y.space.to_json()}
     nx = rng.randint(1, 5)
     ny = rng.randint(1, 6 - nx)
@@ -702,6 +705,8 @@ def backforth_report(cfg: TrialConfig) -> str:
 # exhaustive corpus of tiny spaces
 
 _CORPUS: list[GHPoint] | None = None
+# the corpus list the oracle table was computed for, and the table
+_ORACLE: tuple[list[GHPoint], list[list[Fraction]]] | None = None
 
 
 def enumerate_small_spaces() -> list[GHPoint]:
@@ -733,3 +738,15 @@ def small_corpus() -> list[GHPoint]:
     if _CORPUS is None:
         _CORPUS = enumerate_small_spaces()
     return _CORPUS
+
+
+def _corpus_oracle(corpus: list[GHPoint]) -> list[list[Fraction]]:
+    """``na_oracle`` over every pair of ``corpus``, computed once per corpus list.
+
+    The table is tied to the list itself, so a corpus rebuilt after
+    ``_CORPUS = None`` gets a fresh one.
+    """
+    global _ORACLE
+    if _ORACLE is None or _ORACLE[0] is not corpus:
+        _ORACLE = (corpus, [[na_oracle(x, y) for y in corpus] for x in corpus])
+    return _ORACLE[1]

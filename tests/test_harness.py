@@ -210,6 +210,47 @@ def test_run_property_and_suite_consistency():
         run_axiom_suite("nope", cfg)
 
 
+def test_oracle_gate_table_is_one_sweep_per_corpus(monkeypatch):
+    corpus = petal_harness.small_corpus()
+    table = petal_harness._corpus_oracle(corpus)
+    assert table == [[model_gh.na_oracle(x, y) for y in corpus] for x in corpus]
+    assert petal_harness._corpus_oracle(corpus) is table
+    # a rebuilt corpus is a new list, and gets a table of its own
+    monkeypatch.setattr(petal_harness, "_CORPUS", None)
+    monkeypatch.setattr(petal_harness, "_ORACLE", petal_harness._ORACLE)  # restored after the test
+    rebuilt = petal_harness.small_corpus()
+    assert rebuilt is not corpus
+    fresh = petal_harness._corpus_oracle(rebuilt)
+    assert fresh is not table and fresh == table
+
+
+def test_oracle_gate_measures_every_corpus_pair_on_every_run(monkeypatch):
+    corpus = petal_harness.small_corpus()
+    bad_x, bad_y = corpus[6], corpus[3]
+    measured = []
+    real = petal_harness.na_distance
+
+    def off_on_one_pair(x, y):
+        measured.append((x, y))
+        value = real(x, y)
+        return value + 1 if (x, y) == (bad_x, bad_y) else value
+
+    cfg = TrialConfig(seed=2, trials=100)
+    want = (False, 5, {"trial": 0, "corpus": True,
+                       "x": bad_x.space.to_json(), "y": bad_y.space.to_json()})
+    monkeypatch.setattr(petal_harness, "_ORACLE", None)
+    monkeypatch.setattr(petal_harness, "na_distance", off_on_one_pair)
+    assert run_property("gh", "oracle-agreement", cfg) == want  # the table cold
+    assert petal_harness._ORACLE is not None
+    assert run_property("gh", "oracle-agreement", cfg) == want  # and warm
+    # a correct metric on a warm table: every pair, then the random pairs
+    monkeypatch.setattr(petal_harness, "na_distance", lambda x, y: measured.append((x, y)) or real(x, y))
+    measured.clear()
+    assert run_property("gh", "oracle-agreement", cfg) == (True, 5, None)
+    assert measured[:len(corpus) ** 2] == [(x, y) for x in corpus for y in corpus]
+    assert len(measured) == len(corpus) ** 2 + 5
+
+
 def test_every_registered_property_passes_briefly():
     cfg = TrialConfig(seed=3, trials=20)
     for model, ops in SAMPLERS.items():

@@ -140,6 +140,38 @@ def test_oracle_grid_extension_never_improves():
         assert na_oracle(x, y) == _ref_na_oracle(x, y, extra_scales=EXTRAS)
 
 
+def _as_each_kind(value: Scale) -> list[ScaleLike]:
+    kinds = [value, Fraction(value), str(value)]
+    if value.denominator == 1:
+        kinds.append(int(value))
+    return kinds
+
+
+def test_quotient_codes_are_kept_per_scale():
+    rng = spawn_rng(76)
+    points = list(small_corpus()) + [GHPoint(gen_space(rng)) for _ in range(200)]
+    for x in points:
+        x = GHPoint(x.space)  # no codes kept yet
+        values = list(x.space.spectrum().elems) + list(POOL.elems) + [as_scale(e) for e in EXTRAS]
+        asks = [eps for value in values for eps in _as_each_kind(value)] * 2
+        rng.shuffle(asks)
+        for eps in asks:
+            assert x.quotient_canon(eps) == x.space.dendrogram().encode(as_scale(eps))
+        assert x.canonical_form() == x.space.canonical_form()
+        assert x.canonical_form() == x.quotient_canon(0)
+
+
+def test_kept_codes_do_not_admit_what_as_scale_refuses():
+    # 0.5 == Fraction(1, 2) and True == 1, with equal hashes: a lookup
+    # before the coercion would answer them from the kept 1/2 and 1 codes
+    x = point(["0", "1/2", "1"], ["1/2", "0", "1"], ["1", "1", "0"])
+    assert x.quotient_canon("1/2") == "(1;*,*)"
+    assert x.quotient_canon(1) == "*"
+    for bad in (0.5, True, "-1"):
+        with pytest.raises(ValueError):
+            x.quotient_canon(bad)
+
+
 def _ref_na_oracle(
     x: GHPoint, y: GHPoint, extra_scales: Iterable[ScaleLike] = ()
 ) -> Fraction:
@@ -372,3 +404,14 @@ def test_binary_search_matches_linear_scan():
         assert na_distance(x, y) == _scan_na(x, y)
         for eps in spec:
             assert x.quotient_canon(eps) == x.space.quotient(eps).canonical_form()
+    # one long-lived x, its codes kept, against fresh points and its quotients
+    x = GHPoint(gen_space(rng))
+    while len(x.space.spectrum().elems) < 4:
+        x = GHPoint(gen_space(rng))
+    spec = x.space.spectrum().elems
+    for _ in range(200):
+        if rng.random() < 0.4:
+            y = GHPoint(x.space.quotient(spec[rng.randrange(len(spec))]))
+        else:
+            y = GHPoint(gen_space(rng))
+        assert na_distance(x, y) == _scan_na(x, y)
