@@ -88,8 +88,17 @@ def ud(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> Fraction:
     are skipped and the others compared by integer cross-multiplication;
     a strictly larger disagreement replaces the maximum, so the first
     maximal value object is returned.
+
+    Also as in ``nabla``, the scan stops once the maximum reaches the
+    larger of the two diameters (the roots' scales), which no entry
+    exceeds; the object it stops at is the one the full scan returns.
     """
     od, oe = align(d.cells, e.cells)
+    # a one-cell element's root is a leaf, with no scale
+    top, other = d._tree.scale or ZERO, e._tree.scale or ZERO
+    tn, td, sn, sd = top._numerator, top._denominator, other._numerator, other._denominator
+    if sn * td > tn * sd:
+        tn, td = sn, sd
     worst = ZERO
     wn, wd = 0, 1
     n = len(od)
@@ -104,8 +113,12 @@ def ud(d: CantorPseudoUltrametric, e: CantorPseudoUltrametric) -> Fraction:
                 p, q = an * bd, bn * ad
                 if p > q:
                     if an * wd > wn * ad:
+                        if an == tn and ad == td:
+                            return a
                         worst, wn, wd = a, an, ad
                 elif p < q and bn * wd > wn * bd:
+                    if bn == tn and bd == td:
+                        return b
                     worst, wn, wd = b, bn, bd
     return worst
 

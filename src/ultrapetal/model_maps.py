@@ -24,7 +24,8 @@ class CantorFunction:
     equality agree with pointwise equality.  Next to the sorted cell
     ``keys`` and their ``values`` it keeps ``ends``, the right endpoint
     of every cell as ``cells.right_ends`` writes it, for ``nabla``'s
-    merge.  Immutable.
+    merge, and ``top``, the largest value, where ``nabla`` may stop.
+    Immutable.
 
     Checked at the boundary, trusted inside: the public constructor
     coerces every value and checks the cells, while ``_from_cells`` takes
@@ -34,7 +35,7 @@ class CantorFunction:
     siblings, so the normal form is the same either way.
     """
 
-    __slots__ = ("keys", "values", "ends")
+    __slots__ = ("keys", "values", "ends", "top")
 
     def __init__(self, cells: Mapping[str, ScaleLike] | Iterable[tuple[str, ScaleLike]]):
         items = cells.items() if isinstance(cells, Mapping) else list(cells)
@@ -62,6 +63,7 @@ class CantorFunction:
     def _adopt(self, keys: Sequence[str], table: Mapping[str, Fraction]) -> None:
         self.keys, self.values = merge_equal_siblings(keys, table)
         self.ends = right_ends(self.keys)
+        self.top = max(self.values)
 
     @property
     def cells(self) -> tuple[tuple[str, Fraction], ...]:
@@ -110,8 +112,16 @@ def nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
     sentinel).  Each refined cell's two values are compared on the way
     by integer cross-multiplication; a strictly larger disagreement
     replaces the maximum, so the first maximal value object is returned.
+
+    No disagreement exceeds the larger of the two tops, so the merge
+    stops as soon as the maximum reaches it.  Since the maximum changes
+    only to a strictly larger value, the object at which it stops is the
+    one the full merge would return.
     """
     fe, fv, ge, gv = f.ends, f.values, g.ends, g.values
+    tn, td, sn, sd = f.top._numerator, f.top._denominator, g.top._numerator, g.top._denominator
+    if sn * td > tn * sd:
+        tn, td = sn, sd
     worst = ZERO
     wn, wd = 0, 1
     i = j = 0
@@ -123,8 +133,13 @@ def nabla(f: CantorFunction, g: CantorFunction) -> Fraction:
             p, q = xn * yd, yn * xd
             if p > q:
                 if xn * wd > wn * xd:
+                    # scales are in lowest terms: reaching the top is equality
+                    if xn == tn and xd == td:
+                        return x
                     worst, wn, wd = x, xn, xd
             elif p < q and yn * wd > wn * yd:
+                if yn == tn and yd == td:
+                    return y
                 worst, wn, wd = y, yn, yd
         a, b = fe[i], ge[j]
         if a == b:

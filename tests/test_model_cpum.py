@@ -138,21 +138,44 @@ def test_ud_examples():
     assert ud(d3, e3) == Fraction(1, 4)
 
 
+def _parsed(d):
+    return CantorPseudoUltrametric.from_json(json.loads(json.dumps(d.to_json())))
+
+
+def _halved(d):
+    return CantorPseudoUltrametric(d.cells, [[v / 2 for v in row] for row in d.dist])
+
+
 def test_ud_across_partitions_and_brute_force():
     # refined_ud compares with Scale methods in the same pair order, so ud
-    # returns its very object; parsed copies hold equal values in
-    # distinct objects
+    # returns its very object, also where it stops at the larger diameter;
+    # parsed copies hold equal values in distinct objects, halved copies
+    # keep the cells and change every nonzero entry
     rng = spawn_rng(61)
     one_cell = CantorPseudoUltrametric([""], [["0"]])
+    all_zero = CantorPseudoUltrametric(["0", "10", "11"], [["0"] * 3] * 3)
+    assert one_cell._tree.scale is None and all_zero._tree.scale == ZERO
+    # 1/2 and 1/4 below a shared top of 1, which the scan never reaches
+    ca = CantorPseudoUltrametric(["00", "01", "1"], [["0", "1/2", "1"], ["1/2", "0", "1"], ["1", "1", "0"]])
+    cb = CantorPseudoUltrametric(["00", "01", "1"], [["0", "1/4", "1"], ["1/4", "0", "1"], ["1", "1", "0"]])
+    fixed = [one_cell, all_zero, ca, cb, _parsed(ca)]
+    assert ud(ca, cb) == ud(cb, ca) == Fraction(1, 2)
     for _ in range(200):
         d = gen_cpum(rng)
         e = gen_cpum(rng)
-        dc, ec = (CantorPseudoUltrametric.from_json(json.loads(json.dumps(x.to_json()))) for x in (d, e))
-        for x, y in ((d, e), (e, d), (d, one_cell), (one_cell, d), (d, ec), (dc, e), (dc, ec), (d, dc)):
-            assert ud(x, y) is refined_ud(x, y)
-            assert ud(x, y) == brute_ud(x, y)
+        dc, ec = _parsed(d), _parsed(e)
+        dh, eh = _halved(d), _halved(e)
+        pairs = [(d, e), (d, ec), (dc, e), (dc, ec), (d, dc), (d, dh), (dh, e), (dh, eh), (dc, eh)]
+        pairs += [(x, z) for x in (d, dh) for z in fixed]
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                assert ud(a, b) is refined_ud(a, b), (a.to_json(), b.to_json())
+                assert ud(a, b) == brute_ud(a, b)
         assert ud(d, e) == ud(e, d)
         assert ud(d, d) is ud(d, dc) is ZERO
+    for x in fixed:
+        for y in fixed:
+            assert ud(x, y) is refined_ud(x, y), (x.to_json(), y.to_json())
 
 
 def test_spectrum_examples():

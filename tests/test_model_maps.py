@@ -358,6 +358,32 @@ def test_nabla_examples():
     assert nabla(f2, g2) == Fraction(1)
 
 
+def test_nabla_stops_only_at_the_larger_top():
+    # nabla returns once its maximum reaches the larger of the two tops;
+    # each pair is checked in both orders against the full merge
+    halves = [CantorFunction({"0": v, "1": "0"}) for v in ("1/2", "2/4", "0.5")]
+    assert len({id(f.top) for f in halves}) == 3
+    cases = [
+        # the larger top, 1, is never reached
+        (
+            CantorFunction({"00": "1", "01": "0", "1": "1/2"}),
+            CantorFunction({"00": "1", "01": "0", "1": "0"}),
+            Fraction(1, 2),
+        ),
+        # the smaller top, 1/2, is reached first, on cell 0
+        (CantorFunction({"0": "1/2", "1": "0"}), CantorFunction({"0": "0", "1": "1"}), Fraction(1)),
+        # equal tops held in distinct parsed objects
+        (halves[0], CantorFunction({"0": "0", "1": "2/4"}), Fraction(1, 2)),
+        (halves[1], CantorFunction({"00": "0.5", "01": "0", "1": "1/4"}), Fraction(1, 2)),
+        (halves[2], halves[0], ZERO),
+        (zero_function(), zero_function(), ZERO),
+    ]
+    for f, g, want in cases:
+        for a, b in ((f, g), (g, f)):
+            got = nabla(a, b)
+            assert got == want and got is merged_nabla(a, b), (a, b)
+
+
 def test_nabla_across_different_partitions():
     f = CantorFunction({"00": "1", "01": "1/2", "1": "0"})
     g = CantorFunction({"0": "1", "10": "0", "11": "2"})
@@ -484,6 +510,7 @@ def _assert_checked_rebuild(made: CantorFunction, rebuilt: CantorFunction) -> No
     assert made.keys == rebuilt.keys
     assert made.values == rebuilt.values
     assert made.ends == rebuilt.ends
+    assert made.top == rebuilt.top == max(made.values)
     assert all(type(v) is Scale for v in made.values)
 
 

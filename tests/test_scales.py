@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ultrapetal import petal_harness
+from ultrapetal.model_cpum import ud
+from ultrapetal.model_f import delta
+from ultrapetal.model_maps import nabla
 from ultrapetal.petal import MODELS
 from ultrapetal.scales import (
     RangeSet,
@@ -257,3 +260,35 @@ def test_generated_and_parsed_elements_hold_scales(name):
             values = held_scales(element) + held_scales(model.trace(element))
             assert values, element
             assert all(type(v) is Scale for v in values), (element, values)
+
+
+def test_metrics_make_no_scale_comparison_calls(monkeypatch):
+    # delta, nabla and ud compare by integer cross-multiplication; a call to
+    # one of Scale's comparison methods per pair would be a Python dispatch
+    rng = random.Random(35)
+    metrics = {"f": delta, "maps": nabla, "cpum": ud}
+    pools = {}
+    for name in metrics:
+        sampler = petal_harness.SAMPLERS[name]
+        model = MODELS[name]
+        pool = [sampler.gen(rng) for _ in range(15)]
+        pool += [sampler.twin(rng, x) for x in pool[:8]]
+        pool += [model.from_json(json.loads(json.dumps(x.to_json()))) for x in pool[:8]]
+        pools[name] = pool
+    calls = []
+    for op in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        method = getattr(Scale, op)
+
+        def counted(self, other, _op=op, _method=method):
+            calls.append(_op)
+            return _method(self, other)
+
+        monkeypatch.setattr(Scale, op, counted)
+    assert ZERO < Scale(1) and len(calls) == 1  # the counters are live
+    calls.clear()
+    for name, metric in metrics.items():
+        pool = pools[name]
+        for x in pool:
+            for y in pool:
+                metric(x, y)
+    assert calls == []
