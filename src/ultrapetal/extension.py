@@ -5,7 +5,7 @@ holds the policy and ``petal.Model.extend`` checks its point by
 ``verify_extension``.  This module keeps that exact check, the
 consistency witness ``violating_pair`` it reports through
 ``Inconsistent``, and ``embed``, which places a finite point set in a
-given order (``Model.embed`` passes a space's label order).
+given order (``Model.embed`` by ``extend``, the harness's embedding checks by ``locate``).
 """
 
 from __future__ import annotations

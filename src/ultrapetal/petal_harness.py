@@ -388,9 +388,11 @@ def _check_claim_f(ops: _Sampler, rng, t):
     return None
 
 
-def _first_miss(space: FiniteUltraSpace, *copies: tuple[dict, Callable]) -> dict | None:
-    """The first pair in label order at which some ``(images, metric)`` copy misses ``space.d``."""
+def _first_miss(space: FiniteUltraSpace, *models: Model) -> dict | None:
+    """The first pair in label order at which some model's copy misses ``space.d``.  Each copy is
+    placed as ``Model.embed`` places it but by the unchecked ``locate``: this loop measures it once."""
     order = sorted(space.labels)
+    copies = [(embed(model.locate, order, space.d), model.metric) for model in models]
     for a in order:
         for b in order:
             want = space.d(a, b)
@@ -401,8 +403,7 @@ def _first_miss(space: FiniteUltraSpace, *copies: tuple[dict, Callable]) -> dict
 
 
 def _check_embed_f(ops: _Sampler, rng, t):
-    space = gen_space(rng, max_points=10)
-    return _first_miss(space, (ops.model.embed(space), ops.model.metric))
+    return _first_miss(gen_space(rng, max_points=10), ops.model)
 
 
 def _check_canonical_maps(ops: _Sampler, rng, t):
@@ -415,8 +416,7 @@ def _check_canonical_maps(ops: _Sampler, rng, t):
 
 def _check_cross_model(ops: _Sampler, rng, t):
     # one space, embedded independently in both models, same matrix
-    space = gen_space(rng, max_points=8)
-    return _first_miss(space, (F.embed(space), F.metric), (ops.model.embed(space), ops.model.metric))
+    return _first_miss(gen_space(rng, max_points=8), F, ops.model)
 
 
 def _check_oracle_gh(ops: _Sampler, rng, t):
@@ -665,9 +665,9 @@ def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int) -> PartialIsometry
     """Extend a random finite self-isometry of the support-map model.
 
     Draws up to ``subset_size`` distinct points, places an isometric copy
-    of them in a reshuffled order by one-point extensions, then
-    alternately extends the pairing over fresh random points, verifying
-    exactness at each step.
+    of them in a reshuffled order by the checked ``extend`` (the copy's one
+    measurement), then alternately extends the pairing over fresh random
+    points, each new pair checked by ``append_checked``.
     """
     rng = spawn_rng(cfg.seed, 2)
     points: list[SupportMap] = []
@@ -682,7 +682,6 @@ def ultrahomogeneity_demo(cfg: TrialConfig, subset_size: int) -> PartialIsometry
     metric = _F.model.metric
     images = embed(_F.model.extend, order, lambda a, b: metric(points[a], points[b]))
     pairing = PartialIsometry(points, [images[a] for a in range(len(points))], metric, metric)
-    pairing.verify()
     _extend_both_ways(pairing, _F, _F, rng, cfg.trials)
     return pairing
 

@@ -377,8 +377,9 @@ def _placing_at_anchor(anchors, want, m, i):
 
 
 def test_harness_rejected_realisable_request_is_a_fail_line(capsys, monkeypatch):
-    # the extension and embedding checks ask for the distances of real
-    # points, so a rejection is a broken operator: a FAIL line, not exit 2
+    # the extension check asks for the distances of real points, so a
+    # rejection is a broken operator: a FAIL line, not exit 2; the embedding
+    # check places by the unchecked locate and records the first missed pair
     sampler = dataclasses.replace(petal_harness._MAPS, model=dataclasses.replace(MAPS, place=_placing_at_anchor))
     monkeypatch.setitem(petal_harness.SAMPLERS, "maps", sampler)
     cfg = petal_harness.TrialConfig(seed=7, trials=50)
@@ -388,7 +389,8 @@ def test_harness_rejected_realisable_request_is_a_fail_line(capsys, monkeypatch)
     assert re.match(r"targets (\d+) and \1 violate ", failure["message"])  # one target named twice
     ok, n, failure = petal_harness.run_property("maps", "cross-model-embedding", cfg)
     assert not ok
-    assert failure == {"trial": 0, "raised": "Inconsistent", "message": str(Inconsistent(0, 0))}
+    third = [["0", "1/3", "1/3"], ["1/3", "0", "1/3"], ["1/3", "1/3", "0"]]
+    assert failure == {"trial": 0, "space": {"points": ["p0", "p1", "p2"], "dist": third}, "pair": ["p0", "p1"]}
     assert main(["harness", "--model", "maps", "--seed", "7", "--trials", "50"]) == 1
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
@@ -405,7 +407,8 @@ def test_harness_rejected_embedding_is_a_fail_line(capsys, monkeypatch):
     monkeypatch.setitem(petal_harness.SAMPLERS, "f", sampler)
     ok, n, failure = petal_harness.run_property("f", "finite-embedding", petal_harness.TrialConfig(seed=7, trials=50))
     assert not ok
-    assert failure == {"trial": 1, "raised": "Inconsistent", "message": str(Inconsistent(0, 0))}
+    half = [["0" if i == j else "1/2" for j in range(4)] for i in range(4)]
+    assert failure == {"trial": 1, "space": {"points": ["p0", "p1", "p2", "p3"], "dist": half}, "pair": ["p0", "p1"]}
     assert main(["harness", "--model", "f", "--seed", "7", "--trials", "50"]) == 1
     captured = capsys.readouterr()
     assert [line for line in captured.out.splitlines() if " FAIL " in line] == [

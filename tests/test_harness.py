@@ -5,7 +5,7 @@ import json
 import pytest
 
 from injection import extending
-from ultrapetal import model_cpum, model_f, model_gh, model_maps, petal_harness
+from ultrapetal import extension, model_cpum, model_f, model_gh, model_maps, petal_harness
 from ultrapetal.extension import embed
 from ultrapetal.petal import F, MODELS, Model
 from ultrapetal.model_gh import GHPoint
@@ -490,24 +490,28 @@ def _own_first_miss(space, images, metric):
 
 
 def test_embedding_checks_report_first_missed_pair(monkeypatch):
-    # every copy goes through Model.embed: the f check's copy is the last,
-    # the cross-model check's f copy the second last and its maps copy the last
+    # every copy goes through the harness's embed(locate, order, d): the f
+    # check's copy is the last, the cross-model check's f copy the second
+    # last and its maps copy the last; d is the space's bound d, and locate
+    # the model's bound locate
     swaps = spawn_rng(5, 0)
     copies = []
-    monkeypatch.setattr(Model, "embed", _swapping(Model.embed, copies, swaps))
+    monkeypatch.setattr(petal_harness, "embed", _swapping(petal_harness.embed, copies, swaps))
     rng = spawn_rng(5, 1)
     caught = 0
     for t in range(200):
         failure = petal_harness._check_embed_f(_F, rng, t)
-        (_, space), f_images = copies[-1]
+        (_, _, d), f_images = copies[-1]
+        space = d.__self__
         assert failure == _embed_f_by_hand(space, f_images)
         caught += failure is not None
     assert caught > 50
     caught = split = 0
     for t in range(200):
         failure = petal_harness._check_cross_model(_MAPS, rng, t)
-        ((f_model, space), f_images), ((m_model, _), m_images) = copies[-2], copies[-1]
-        assert (f_model, m_model) == (F, _MAPS.model)
+        ((f_locate, _, d), f_images), ((m_locate, _, _), m_images) = copies[-2], copies[-1]
+        space = d.__self__
+        assert (f_locate.__self__, m_locate.__self__) == (F, _MAPS.model)
         assert failure == _cross_model_by_hand(space, f_images, m_images)
         if failure is None:
             continue
@@ -525,3 +529,33 @@ def test_embedding_checks_report_first_missed_pair(monkeypatch):
         assert failure["pair"] == min(own, key=lambda pair: (order.index(pair[0]), order.index(pair[1])))
         split += len(own) == 2 and own[0] != own[1]
     assert caught > 50 and split > 20
+
+
+def test_each_harness_copy_is_measured_once(monkeypatch):
+    # the embedding copies are placed by the unchecked locate and measured by
+    # _first_miss; the homogeneity copy is placed by the checked extend, whose
+    # verify_extension is its one measurement, so it is not verified again
+    calls = {"verify_extension": 0, "verify": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(extension, "verify_extension", counting("verify_extension", extension.verify_extension))
+    monkeypatch.setattr(PartialIsometry, "verify", counting("verify", PartialIsometry.verify))
+    cfg = TrialConfig(seed=7, trials=100)
+    for model, name in (("f", "finite-embedding"), ("maps", "cross-model-embedding")):
+        assert run_property(model, name, cfg)[0]
+        assert calls == {"verify_extension": 0, "verify": 0}, name
+    # the one-point-extension row is the suite's test of the checked extend
+    assert run_property("f", "one-point-extension", cfg)[0]
+    assert calls["verify_extension"] > 0
+    for size in range(7):
+        calls.update(verify_extension=0, verify=0)
+        pairing = ultrahomogeneity_demo(TrialConfig(seed=size, trials=3), size)
+        assert len(pairing) == size + 6  # all size points were drawn and copied
+        # the first point is the origin, placed with no target to check
+        assert calls == {"verify_extension": max(size - 1, 0), "verify": 0}, size
