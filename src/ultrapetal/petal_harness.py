@@ -94,37 +94,28 @@ def gen_cantor_function(rng: random.Random, pool: RangeSet = POOL) -> CantorFunc
 def random_ultrametric_tree(
     rng: random.Random, labels: Sequence[str], positives: Sequence[Fraction]
 ) -> Dendrogram:
-    """A random dendrogram over ``labels`` with scales from ``positives`` (``Scale``s).
+    """A random dendrogram over ``labels`` with scales from ``positives``.
 
-    Each ball of two or more points draws its scale among those below
-    its parent's, then splits into a random number of blocks: at least
-    two, and all singletons when no smaller scale is left.  Balls are
-    split depth-first, first block first.  Each level hands its blocks
-    fewer scales than it had, so the tree is at most
-    ``len(positives) + 1`` nodes deep (7 for ``POOL``) and the recursion
-    stays that shallow whatever the number of labels.
+    ``positives`` are ascending and distinct ``Scale``s, as
+    ``RangeSet.positives()`` returns them.  Each ball of two or more points
+    draws its scale among those below its parent's, then splits into a
+    random number of blocks: at least two, and all singletons when no
+    smaller scale is left.  Balls are split depth-first, first block first.
+    The tree is at most ``len(positives) + 1`` nodes deep (7 for ``POOL``),
+    so the recursion stays that shallow whatever the number of labels.
     """
-    scales = sorted(positives)
-    # below[r]: how many scales lie strictly under scales[r]; the scales a
-    # ball may draw are always a prefix scales[:top], so repeats drop together
-    below = list(range(len(scales)))
-    for r in range(1, len(scales)):
-        if scales[r] == scales[r - 1]:
-            below[r] = below[r - 1]
-
     def grow(items: list, top: int) -> Dendrogram:
         if len(items) == 1:
             return Dendrogram(None, items[0])
-        r = rng.randrange(top)
-        k = below[r]
-        nblocks = rng.randint(2, len(items)) if k else len(items)
+        r = rng.randrange(top)  # the scales below positives[r] are positives[:r]
+        nblocks = rng.randint(2, len(items)) if r else len(items)
         rng.shuffle(items)
         if nblocks == len(items):  # all singletons: no more draws below
-            return Dendrogram(scales[r], None, tuple([Dendrogram(None, x) for x in items]))
+            return Dendrogram(positives[r], None, tuple([Dendrogram(None, x) for x in items]))
         bounds = [0, *sorted(rng.sample(range(1, len(items)), nblocks - 1)), len(items)]
-        return Dendrogram(scales[r], None, tuple([grow(items[a:b], k) for a, b in zip(bounds, bounds[1:])]))
+        return Dendrogram(positives[r], None, tuple([grow(items[a:b], r) for a, b in zip(bounds, bounds[1:])]))
 
-    return grow(list(labels), len(scales))
+    return grow(list(labels), len(positives))
 
 
 def gen_space(

@@ -1,6 +1,9 @@
-"""A broken whole one-point extension, for the harness and CLI tests."""
+"""Broken harness records, for the harness and CLI tests: a whole one-point
+extension replaced, or a suite that fails every trial."""
 
 import dataclasses
+
+from ultrapetal.petal_harness import PropertySpec
 
 
 def extending(sampler, extend):
@@ -17,3 +20,11 @@ def extending(sampler, extend):
     for name in ("extend", "locate"):
         object.__setattr__(model, name, extend)
     return dataclasses.replace(sampler, model=model)
+
+
+def failing(sampler, calls=None):
+    """A copy of ``sampler`` whose one property, ``always_fails``, fails every trial
+    with ``{"reason": "forced"}`` and appends the trial index to ``calls``."""
+    calls = [] if calls is None else calls
+    check = PropertySpec("metric-axioms", "always_fails", 1.0, lambda ops, rng, t: calls.append(t) or {"reason": "forced"})
+    return dataclasses.replace(sampler, suite=(check,))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injection import extending
+from injection import extending, failing
 
 from ultrapetal import cli, petal_harness
 from ultrapetal.cli import main
@@ -328,13 +328,7 @@ def test_backforth_and_harness_reports(capsys):
 
 
 def test_harness_failure_exit_code_and_dump(tmp_path, capsys, monkeypatch):
-    import ultrapetal.petal_harness as ph
-
-    broken = ph.PropertySpec(
-        "metric-axioms", "always_fails", 1.0,
-        lambda ops, rng, t: {"reason": "forced"},
-    )
-    monkeypatch.setitem(ph.SAMPLERS, "f", dataclasses.replace(ph._F, suite=(broken,)))
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", failing(petal_harness._F))
     code = main([
         "harness", "--model", "f", "--seed", "1", "--trials", "5",
         "--dump-dir", str(tmp_path),
@@ -524,10 +518,7 @@ def test_harness_refuses_a_dump_dir_that_is_a_file(tmp_path, capsys, monkeypatch
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: --dump-dir {path} is not a directory\n")
     calls = []
-    broken = petal_harness.PropertySpec(
-        "metric-axioms", "always_fails", 1.0, lambda ops, rng, t: calls.append(t) or {"reason": "forced"},
-    )
-    monkeypatch.setitem(petal_harness.SAMPLERS, "f", dataclasses.replace(petal_harness._F, suite=(broken,)))
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", failing(petal_harness._F, calls))
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: --dump-dir {path} is not a directory\n")
     assert calls == [] and path.read_text() == "kept\n"
@@ -540,10 +531,7 @@ def test_harness_refuses_a_dump_dir_below_a_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "taken"
     path.write_text("kept\n")
     calls = []
-    broken = petal_harness.PropertySpec(
-        "metric-axioms", "always_fails", 1.0, lambda ops, rng, t: calls.append(t) or {"reason": "forced"},
-    )
-    monkeypatch.setitem(petal_harness.SAMPLERS, "f", dataclasses.replace(petal_harness._F, suite=(broken,)))
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", failing(petal_harness._F, calls))
     monkeypatch.chdir(tmp_path)
     for dump_dir in (str(path / "sub"), str(path / "sub" / "deeper"), "taken/sub", "./taken/sub/.."):
         argv = ["harness", "--model", "f", "--seed", "7", "--trials", "20", "--dump-dir", dump_dir]

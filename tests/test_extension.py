@@ -3,12 +3,14 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import pytest
 
+from draws import consistent_request
 from ultrapetal.extension import Inconsistent, embed, violating_pair
 from ultrapetal.model_f import SupportMap
-from ultrapetal.model_maps import CantorFunction
+from ultrapetal.model_maps import CantorFunction, zero_function
 from ultrapetal.petal import F, MAPS, MODELS
 from ultrapetal.petal_harness import (
     POOL,
@@ -19,7 +21,7 @@ from ultrapetal.petal_harness import (
     gen_support_map,
     spawn_rng,
 )
-from ultrapetal.scales import ZERO, as_scale
+from ultrapetal.scales import RangeSet, Scale, ZERO, as_scale
 from ultrapetal.umspace import FiniteUltraSpace
 
 
@@ -127,7 +129,11 @@ UNIVERSES = {"f": (_support_maps, 27, 3159), "maps": (_cantor_functions, 33, 431
 GATE_TARGETS = [as_scale(t) for t in ("0", "1/3", "1/2", "1", "2")]
 
 
-@pytest.mark.parametrize("model", [m for m in MODELS.values() if m.place], ids=lambda m: m.name)
+# the models with a constructive one-point extension
+PLACED = [m for m in MODELS.values() if m.place]
+
+
+@pytest.mark.parametrize("model", PLACED, ids=lambda m: m.name)
 def test_extension_realises_exactly_the_consistent_requests(model):
     # every request on every anchor set of one or two points of a small
     # universe: realised exactly when violating_pair finds no pair, and
@@ -157,6 +163,86 @@ def test_extension_realises_exactly_the_consistent_requests(model):
                 realised += 1
     assert requests == size * 5 + size * (size - 1) // 2 * 25
     assert realised == want_realised
+
+
+class ExtensionRow(NamedTuple):
+    """One model's hand-written extension cases, read by the three tests below."""
+
+    petal: RangeSet  # a petal S holding ``anchors`` and ``omega``
+    anchors: list  # the first two are at distance 1: no point is at 1/4 from both
+    omega: object  # a hidden point, whose distances are the request
+    targets: list  # ... and those distances
+    seed: int  # the stream of 300 consistent requests given to locate
+    hand: tuple  # a request (anchors, plain Fraction targets) and the point locate gives
+    scales: Callable  # the scales a placed point stores
+
+
+HALF_ONE = RangeSet(["0", "1/2", "1"])
+EXTENSION_ROWS = {
+    "f": ExtensionRow(
+        petal=HALF_ONE,
+        anchors=[SupportMap(), SupportMap({"1": 1}), SupportMap({"1": 1, "1/2": 2})],
+        omega=SupportMap({"1/2": 5}),
+        targets=[Fraction(1, 2), Fraction(1), Fraction(1)],
+        seed=32,
+        hand=([SupportMap({"1": 1}), SupportMap({"1": 2})], [Fraction(1), Fraction(1)], SupportMap({"1": 3})),
+        scales=lambda theta: [k for k, _ in theta.entries] + list(theta._map),
+    ),
+    "maps": ExtensionRow(
+        petal=HALF_ONE,
+        anchors=[zero_function(), CantorFunction({"0": "1", "1": "0"}), CantorFunction({"00": "1", "01": "1/2", "1": "0"})],
+        omega=CantorFunction({"0": "1/2", "1": "0"}),
+        targets=[Fraction(1, 2), Fraction(1), Fraction(1)],
+        seed=54,
+        hand=([zero_function(), CantorFunction({"0": "1", "1": "0"})], [Fraction(1, 2), Fraction(1)],
+              CantorFunction({"00": "1/2", "01": "0", "1": "0"})),
+        scales=lambda theta: theta.values,
+    ),
+}
+
+
+@pytest.mark.parametrize("model", PLACED, ids=lambda m: m.name)
+def test_one_point_extension_empty_and_errors(model):
+    assert model.extend([], []) == model.origin()
+    with pytest.raises(ValueError):
+        model.extend([model.origin()], [])
+    with pytest.raises(Inconsistent) as err:
+        model.extend(EXTENSION_ROWS[model.name].anchors[:2], ["1/4", "1/4"])
+    assert err.value.indices == (0, 1)
+    # two equal anchors cannot sit at different distances
+    with pytest.raises(Inconsistent):
+        model.extend([model.origin(), model.origin()], ["1/2", "1"])
+
+
+@pytest.mark.parametrize("model", PLACED, ids=lambda m: m.name)
+def test_one_point_extension_petal_preservation(model):
+    # anchors and a hidden point in S: the point placed at its distances is in S
+    row = EXTENSION_ROWS[model.name]
+    assert all(model.in_petal(x, row.petal) for x in [*row.anchors, row.omega])
+    targets = [model.metric(row.omega, a) for a in row.anchors]
+    assert targets == row.targets
+    theta = model.extend(row.anchors, targets)
+    assert [model.metric(theta, a) for a in row.anchors] == targets
+    assert model.in_petal(theta, row.petal)
+
+
+@pytest.mark.parametrize("model", PLACED, ids=lambda m: m.name)
+def test_locate_stores_a_scale_for_plain_fraction_targets(model):
+    # Model.locate takes plain Fractions; place coerces the one target it
+    # stores, so the element is extend's, with Scale scales only
+    row = EXTENSION_ROWS[model.name]
+    *hand, point = row.hand
+    cases = [hand]
+    rng = spawn_rng(row.seed)
+    for _ in range(300):
+        anchors, want = consistent_request(SAMPLERS[model.name], rng)
+        cases.append((anchors, [Fraction(t) for t in want]))
+    for anchors, want in cases:
+        assert all(type(t) is Fraction for t in want)
+        theta = model.locate(anchors, want)
+        assert theta == model.extend(anchors, want)
+        assert all(type(v) is Scale for v in row.scales(theta))
+    assert model.locate(*hand) == point
 
 
 def _ref_locate(origin, place, anchors, want):

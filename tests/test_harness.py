@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from injection import extending
+from draws import scan_petal_distance
+from injection import extending, failing
 from ultrapetal import extension, model_cpum, model_f, model_gh, model_maps, petal_harness
 from ultrapetal.extension import embed
 from ultrapetal.petal import F, MODELS, Model
@@ -36,7 +37,7 @@ from ultrapetal.petal_harness import (
     spawn_rng,
     ultrahomogeneity_demo,
 )
-from ultrapetal.scales import ZERO
+from ultrapetal.scales import RangeSet, ZERO
 from ultrapetal.umspace import FiniteUltraSpace
 
 
@@ -273,14 +274,8 @@ def test_suite_report_format_and_determinism():
 
 
 def test_suite_dumps_counterexample_on_failure(tmp_path, monkeypatch):
-    import ultrapetal.petal_harness as ph
-
-    broken = ph.PropertySpec(
-        "metric-axioms", "always_fails", 1.0,
-        lambda ops, rng, t: {"reason": "forced"},
-    )
-    monkeypatch.setitem(ph.SAMPLERS, "f", dataclasses.replace(ph._F, suite=(broken,)))
-    report = ph.run_axiom_suite("f", TrialConfig(seed=1, trials=5), dump_dir=str(tmp_path))
+    monkeypatch.setitem(petal_harness.SAMPLERS, "f", failing(_F))
+    report = run_axiom_suite("f", TrialConfig(seed=1, trials=5), dump_dir=str(tmp_path))
     assert " FAIL " in report
     dump = tmp_path / "f_always_fails.json"
     assert dump.exists()
@@ -332,6 +327,23 @@ def test_metric_is_least_agreeing_truncation(name):
             # an untruncated twin is the same element in every model
             assert x == y and hash(x) == hash(y)
         assert model.metric(x, y) == truncation_distance(model, x, y)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_petal_distance_matches_scan(name):
+    # the distance to a random petal S is the scan's least threshold, and
+    # the witness is a member of S at exactly that distance
+    sampler = SAMPLERS[name]
+    model = sampler.model
+    rng = spawn_rng(42)
+    pool = POOL.positives()
+    for _ in range(300):
+        x = sampler.gen(rng)
+        s = RangeSet(v for v in pool if rng.random() < 0.5)
+        value, witness = model.petal_distance(x, s)
+        assert value == scan_petal_distance(model.trace(x), s)
+        assert model.in_petal(witness, s)
+        assert model.metric(x, witness) == value
 
 
 def _first_failure(check, sampler, rng, n):

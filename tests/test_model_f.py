@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultrapetal.extension import Inconsistent
+from draws import consistent_request, random_petal, scan_petal_distance
 from ultrapetal.model_f import (
     SupportMap,
     delta,
@@ -11,7 +11,7 @@ from ultrapetal.model_f import (
     truncate,
 )
 from ultrapetal.petal import F
-from ultrapetal.petal_harness import POOL, TrialConfig, back_and_forth, gen_support_map, spawn_rng
+from ultrapetal.petal_harness import _F, POOL, TrialConfig, back_and_forth, gen_support_map, spawn_rng
 from ultrapetal.scales import RangeSet, Scale, ZERO
 from ultrapetal.umspace import FiniteUltraSpace
 
@@ -134,11 +134,6 @@ def test_in_petal_examples():
     assert not F.in_petal(SupportMap({"1": 1, "1/3": 2}), RangeSet(["0", "1"]))
 
 
-def scan_petal_distance(tr: RangeSet, s: RangeSet) -> Fraction:
-    # independent oracle: least threshold whose tail is contained in s
-    return next(t for t in tr.elems if tr.tail_subset(s, t))
-
-
 def test_petal_distance_examples():
     f = SupportMap({"1": 1, "1/3": 2})
     s = RangeSet(["0", "1"])
@@ -150,18 +145,6 @@ def test_petal_distance_examples():
     assert F.petal_distance(member, RangeSet(["0", "1"])) == (ZERO, member)
     value, witness = F.petal_distance(SupportMap({"1": 1}), RangeSet())
     assert value == Fraction(1) and witness == SupportMap()
-
-
-def test_petal_distance_matches_scan():
-    rng = spawn_rng(42)
-    pool = POOL.positives()
-    for _ in range(300):
-        f = gen_support_map(rng)
-        s = RangeSet(v for v in pool if rng.random() < 0.5)
-        value, witness = F.petal_distance(f, s)
-        assert value == scan_petal_distance(trace(f), s)
-        assert F.in_petal(witness, s)
-        assert delta(f, witness) == value
 
 
 def test_approximate_into_petal_examples():
@@ -192,32 +175,6 @@ def test_one_point_extension_examples():
 
     pinned = F.extend([SupportMap({"1": 1})], [0])
     assert pinned == SupportMap({"1": 1})
-
-
-def test_one_point_extension_empty_and_errors():
-    assert F.extend([], []) == SupportMap()
-    with pytest.raises(ValueError):
-        F.extend([SupportMap()], [])
-    with pytest.raises(Inconsistent) as err:
-        F.extend(
-            [SupportMap(), SupportMap({"1": 1})], ["1/4", "1/4"]
-        )
-    assert err.value.indices == (0, 1)
-    # two equal anchors cannot sit at different distances
-    with pytest.raises(Inconsistent):
-        F.extend([SupportMap(), SupportMap()], ["1/2", "1"])
-
-
-def test_one_point_extension_petal_preservation():
-    s = RangeSet(["0", "1/2", "1"])
-    anchors = [SupportMap(), SupportMap({"1": 1}), SupportMap({"1": 1, "1/2": 2})]
-    omega = SupportMap({"1/2": 5})
-    targets = [delta(omega, a) for a in anchors]
-    assert targets == [Fraction(1, 2), Fraction(1), Fraction(1)]
-    theta = F.extend(anchors, targets)
-    for anchor, want in zip(anchors, targets):
-        assert delta(theta, anchor) == want
-    assert F.in_petal(theta, s)
 
 
 def test_embed_space_examples():
@@ -251,17 +208,6 @@ def test_support_map_json_round_trip():
         SupportMap.from_json(["nope"])
 
 
-def _random_petal(rng) -> RangeSet:
-    return RangeSet(Fraction(rng.randint(1, 12), rng.randint(1, 9)) for _ in range(rng.randint(0, 7)))
-
-
-def _consistent_request(rng):
-    # the distances of a hidden point are always a consistent request
-    anchors = [gen_support_map(rng) for _ in range(rng.randint(1, 5))]
-    hidden = gen_support_map(rng)
-    return anchors, [delta(hidden, a) for a in anchors]
-
-
 def _assert_checked_rebuild(made: SupportMap, rebuilt: SupportMap) -> None:
     # a trusted construction equals its rebuild through the checked
     # constructor, field by field, and holds only Scale keys
@@ -276,28 +222,11 @@ def test_trusted_support_maps_match_the_checked_constructor():
     # rebuilt from its definition, the keys of f above u
     for seed in range(2000):
         rng = spawn_rng(seed, 31)
-        for f in (gen_support_map(rng), gen_support_map(rng, _random_petal(rng))):
+        for f in (gen_support_map(rng), gen_support_map(rng, random_petal(rng))):
             _assert_checked_rebuild(f, SupportMap(reversed(f.entries)))
             for u in sorted({*POOL, *trace(f)}):
                 _assert_checked_rebuild(truncate(f, u), SupportMap({k: v for k, v in f.entries if k > u}))
-        anchors, want = _consistent_request(rng)
+        anchors, want = consistent_request(_F, rng)
         theta = F.locate(anchors, want)
         _assert_checked_rebuild(theta, SupportMap(theta.entries))
         assert [delta(theta, a) for a in anchors] == want
-
-
-def test_locate_stores_a_scale_for_plain_fraction_targets():
-    # Model.locate takes plain Fractions; place coerces the one target it
-    # stores, so the element is extend's, with Scale keys only
-    cases = [([SupportMap({"1": 1}), SupportMap({"1": 2})], [Fraction(1), Fraction(1)])]
-    rng = spawn_rng(32)
-    for _ in range(300):
-        anchors, want = _consistent_request(rng)
-        cases.append((anchors, [Fraction(t) for t in want]))
-    for anchors, want in cases:
-        assert all(type(t) is Fraction for t in want)
-        theta = F.locate(anchors, want)
-        assert theta == F.extend(anchors, want)
-        assert all(type(k) is Scale for k, _ in theta.entries)
-        assert all(type(k) is Scale for k in theta._map)
-    assert F.locate(*cases[0]) == SupportMap({"1": 3})

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from cell_oracle import cell_owners, refinement
+from draws import consistent_request, random_petal
 from ultrapetal.cells import align, check_prefixes, merge_equal_siblings, right_ends
-from ultrapetal.extension import Inconsistent
 from ultrapetal.model_maps import (
     CantorFunction,
     nabla,
@@ -17,6 +17,7 @@ from ultrapetal.model_maps import (
 )
 from ultrapetal.petal import MAPS
 from ultrapetal.petal_harness import (
+    _MAPS,
     POOL,
     TrialConfig,
     _twin_maps,
@@ -436,30 +437,6 @@ def test_one_point_extension_examples():
     assert MAPS.extend([f], [0]) == f
 
 
-def test_one_point_extension_empty_and_errors():
-    assert MAPS.extend([], []) == zero_function()
-    with pytest.raises(Inconsistent):
-        MAPS.extend(
-            [zero_function(), CantorFunction({"0": "1", "1": "0"})],
-            ["1/4", "1/4"],
-        )
-
-
-def test_one_point_extension_petal_preservation():
-    s = RangeSet(["0", "1/2", "1"])
-    anchors = [
-        zero_function(),
-        CantorFunction({"0": "1", "1": "0"}),
-        CantorFunction({"00": "1", "01": "1/2", "1": "0"}),
-    ]
-    omega = CantorFunction({"0": "1/2", "1": "0"})
-    targets = [nabla(omega, a) for a in anchors]
-    theta = MAPS.extend(anchors, targets)
-    for anchor, want in zip(anchors, targets):
-        assert nabla(theta, anchor) == want
-    assert MAPS.in_petal(theta, s)
-
-
 def test_canonicalization_round_trip():
     rng = spawn_rng(51)
     for _ in range(120):
@@ -493,17 +470,6 @@ def test_cantor_function_json_round_trip():
         CantorFunction.from_json({"cells": "zzz"})
 
 
-def _random_petal(rng) -> RangeSet:
-    return RangeSet(Fraction(rng.randint(1, 12), rng.randint(1, 9)) for _ in range(rng.randint(0, 7)))
-
-
-def _consistent_request(rng):
-    # the distances of a hidden point are always a consistent request
-    anchors = [gen_cantor_function(rng) for _ in range(rng.randint(1, 5))]
-    hidden = gen_cantor_function(rng)
-    return anchors, [nabla(hidden, a) for a in anchors]
-
-
 def _assert_checked_rebuild(made: CantorFunction, rebuilt: CantorFunction) -> None:
     # a trusted construction equals its rebuild through the checked
     # constructor, field by field, and holds only Scale values
@@ -520,31 +486,14 @@ def test_trusted_cantor_functions_match_the_checked_constructor():
     # truncation is rebuilt from its definition, values at most u flattened
     for seed in range(2000):
         rng = spawn_rng(seed, 53)
-        for f in (gen_cantor_function(rng), gen_cantor_function(rng, _random_petal(rng))):
+        for f in (gen_cantor_function(rng), gen_cantor_function(rng, random_petal(rng))):
             _assert_checked_rebuild(f, CantorFunction(f.cells[::-1]))
             twin = _twin_maps(rng, f)
             _assert_checked_rebuild(twin, CantorFunction(f.cells))
             for u in sorted({*POOL, *trace(f)}):
                 flat = CantorFunction({k: v if v > u else ZERO for k, v in f.cells})
                 _assert_checked_rebuild(truncate(f, u), flat)
-        anchors, want = _consistent_request(rng)
+        anchors, want = consistent_request(_MAPS, rng)
         theta = MAPS.locate(anchors, want)
         _assert_checked_rebuild(theta, CantorFunction(theta.cells))
         assert [nabla(theta, a) for a in anchors] == want
-
-
-def test_locate_stores_a_scale_for_plain_fraction_targets():
-    # Model.locate takes plain Fractions; place coerces the one target it
-    # stores, so the element is extend's, with Scale values only
-    two = [zero_function(), CantorFunction({"0": "1", "1": "0"})]
-    cases = [(two, [Fraction(1, 2), Fraction(1)])]
-    rng = spawn_rng(54)
-    for _ in range(300):
-        anchors, want = _consistent_request(rng)
-        cases.append((anchors, [Fraction(t) for t in want]))
-    for anchors, want in cases:
-        assert all(type(t) is Fraction for t in want)
-        theta = MAPS.locate(anchors, want)
-        assert theta == MAPS.extend(anchors, want)
-        assert all(type(v) is Scale for v in theta.values)
-    assert MAPS.locate(*cases[0]) == CantorFunction({"00": "1/2", "01": "0", "1": "0"})

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from draws import spellings
 from ultrapetal import petal_harness
 from ultrapetal.model_cpum import ud
 from ultrapetal.model_f import delta
@@ -101,6 +102,21 @@ def test_range_set_json_round_trip():
     assert RangeSet.from_json(a.to_json()) == a
     with pytest.raises(ValueError):
         RangeSet.from_json({"not": "a list"})
+
+
+HALVES = ["1/2", "2/4", "0.5", Fraction(1, 2)]  # one value, four spellings
+scale_likes = scales.flatmap(lambda x: st.sampled_from(spellings(x))) | st.sampled_from(HALVES)
+
+
+@given(st.lists(scale_likes, max_size=12))
+def test_range_set_elems_ascend_strictly_from_zero(xs):
+    # in any order, with repeats and with several spellings of one value:
+    # random_ultrametric_tree takes positives() as ascending and distinct
+    rs = RangeSet(xs)
+    assert rs.elems[0] == ZERO
+    assert all(a < b for a, b in zip(rs.elems, rs.elems[1:]))
+    assert set(rs.elems) == {ZERO} | {as_scale(x) for x in xs}
+    assert rs.positives() == rs.elems[1:]
 
 
 COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)

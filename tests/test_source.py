@@ -50,7 +50,7 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(Path(__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 

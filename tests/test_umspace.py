@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from draws import spellings
 from ultrapetal.model_cpum import CantorPseudoUltrametric, trace, truncate
 from ultrapetal.model_gh import GHPoint, na_distance
 from ultrapetal.petal_harness import (
@@ -200,7 +201,7 @@ def test_space_json_formats_like_str_per_entry():
         n = rng.randint(2, 30)
         rows = (spacegen.chain_rows if t % 3 == 0 else spacegen.dendrogram_rows)(rng, n)
         labels = [f"p{i}" for i in range(n)]
-        spaces.append(FiniteUltraSpace(labels, [[rng.choice(_spellings(v)) for v in row] for row in rows]))
+        spaces.append(FiniteUltraSpace(labels, [[rng.choice(spellings(v)) for v in row] for row in rows]))
         spaces.append(FiniteUltraSpace(labels, rows))
     mixed = FiniteUltraSpace(["a", "b"], [[ZERO, Scale(1, 2)], [Scale(1, 2), ZERO]])
     mixed._rows = ((ZERO, Fraction(1, 2)), (Scale(1, 2), Fraction(0)))  # equal values, other objects and types
@@ -404,18 +405,6 @@ def _assert_matches_untabled(dist, labels, allow_zero=False):
     return got
 
 
-def _spellings(v):
-    """Strings and objects that as_scale reads as the scale v."""
-    n, d = v.numerator, v.denominator
-    out = [str(v), f"{3 * n}/{3 * d}", v]
-    if d == 1:
-        out += [n, f"{n}.0", f"{n}/1"]
-    if 1000 % d == 0:
-        m = n * (1000 // d)
-        out.append(f"{m // 1000}.{m % 1000:03d}")
-    return out
-
-
 def test_distinct_spellings_of_one_value_compare_equal():
     half = ["1/2", "2/4", "0.5", "0.50", Fraction(1, 2)]
     labels = ["a", "b", "c"]
@@ -459,10 +448,10 @@ def test_generated_matrices_match_untabled():
         elif t % 4 == 2:
             i, j = rng.sample(range(n), 2)
             rows[i][j] = rows[j][i] = rng.choice(spacegen.spectrum(rows)) / rng.choice([1, 2])
-        dist = [[rng.choice(_spellings(v)) for v in row] for row in rows]
+        dist = [[rng.choice(spellings(v)) for v in row] for row in rows]
         if t % 8 == 3:
             i, j = rng.sample(range(n), 2)
-            dist[i][j] = rng.choice(_spellings(rows[i][j] + 1))
+            dist[i][j] = rng.choice(spellings(rows[i][j] + 1))
         got = _assert_matches_untabled(dist, [f"p{i}" for i in range(n)], allow_zero=t % 5 == 0)
         verdicts.add(got[0] if isinstance(got[0], type) else str)
     assert verdicts == {str, NotSymmetric, NotUltrametric}
@@ -594,8 +583,9 @@ def _leaf(label):
 HALF, ONE = as_scale("1/2"), as_scale(1)
 
 
-def _ref_tree_of_comprehension(rng, labels, positives):
-    # reference: random_ultrametric_tree with ``below`` taken by a comprehension
+def _ref_placeholder_tree(rng, labels, positives, below):
+    # reference: the generator that placed Dendrogram() placeholders on a
+    # stack; ``below(avail, scale)`` takes the scales a child may draw
     root = Dendrogram()
     stack = [(root, list(labels), sorted(positives))]
     while stack:
@@ -604,8 +594,8 @@ def _ref_tree_of_comprehension(rng, labels, positives):
             node.label = items[0]
             continue
         node.scale = avail[rng.randrange(len(avail))]
-        below = [v for v in avail if v < node.scale]
-        nblocks = rng.randint(2, len(items)) if below else len(items)
+        lower = below(avail, node.scale)
+        nblocks = rng.randint(2, len(items)) if lower else len(items)
         rng.shuffle(items)
         if nblocks < len(items):
             cuts = sorted(rng.sample(range(1, len(items)), nblocks - 1))
@@ -613,54 +603,38 @@ def _ref_tree_of_comprehension(rng, labels, positives):
             cuts = list(range(1, len(items)))
         node.children = tuple(Dendrogram() for _ in range(nblocks))
         blocks = [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
-        stack.extend((child, block, below) for child, block in zip(node.children[::-1], blocks[::-1]))
+        stack.extend((child, block, lower) for child, block in zip(node.children[::-1], blocks[::-1]))
     return root
 
 
+def _ref_tree_of_comprehension(rng, labels, positives):
+    # the scales below a node taken by a comprehension
+    return _ref_placeholder_tree(rng, labels, positives, lambda avail, s: [v for v in avail if v < s])
+
+
 def test_generator_slice_matches_comprehension():
-    # unsorted positives with repeats: ``below`` must drop every copy of the scale
+    # scales drawn unsorted with repeats, passed as the generator takes
+    # them: ascending and distinct, as RangeSet.positives() returns them
     pool = [as_scale(Fraction(k, 6)) for k in range(1, 7)]
-    repeats = 0
     for seed in range(200):
         draw = random.Random(-seed)
         labels = [f"p{i}" for i in range(draw.randint(1, 10))]
-        positives = draw.choices(pool, k=draw.randint(1, 8))
+        positives = RangeSet(draw.choices(pool, k=draw.randint(1, 8))).positives()
         rng, ref = random.Random(seed), random.Random(seed)
-        repeats += len(set(positives)) < len(positives)
         assert _shape(random_ultrametric_tree(rng, labels, positives)) == _shape(
             _ref_tree_of_comprehension(ref, labels, positives)
         )
         assert rng.random() == ref.random()
-    assert repeats > 100
 
 
 def _ref_random_ultrametric_tree(rng, labels, positives):
-    # reference: the generator that placed Dendrogram() placeholders and
-    # took ``below`` by a bisect slice per node
-    root = Dendrogram()
-    stack = [(root, list(labels), sorted(positives))]
-    while stack:
-        node, items, avail = stack.pop()
-        if len(items) == 1:
-            node.label = items[0]
-            continue
-        node.scale = avail[rng.randrange(len(avail))]
-        below = avail[:bisect_left(avail, node.scale)]
-        nblocks = rng.randint(2, len(items)) if below else len(items)
-        rng.shuffle(items)
-        if nblocks < len(items):
-            cuts = sorted(rng.sample(range(1, len(items)), nblocks - 1))
-        else:
-            cuts = list(range(1, len(items)))
-        node.children = tuple(Dendrogram() for _ in range(nblocks))
-        blocks = [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
-        stack.extend((child, block, below) for child, block in zip(node.children[::-1], blocks[::-1]))
-    return root
+    # the scales below a node taken by a bisect slice, as the old generator did
+    return _ref_placeholder_tree(rng, labels, positives, lambda avail, s: avail[:bisect_left(avail, s)])
 
 
 def test_generator_matches_placeholder_builder():
     # same tree from the same draws, leaving the stream in the same state,
-    # on the pool, generated pools, one scale and unsorted pools with repeats
+    # on the pool, generated pools, one scale and pools drawn with repeats
     sixths = [as_scale(Fraction(k, 6)) for k in range(1, 7)]
     for seed in range(600):
         draw = random.Random(-seed - 1)
@@ -669,7 +643,7 @@ def test_generator_matches_placeholder_builder():
             POOL.positives(),
             gen_range_set(draw).positives(),
             [draw.choice(sixths)],
-            draw.choices(sixths, k=draw.randint(1, 8)),
+            RangeSet(draw.choices(sixths, k=draw.randint(1, 8))).positives(),
         ][seed % 4]
         if not positives:  # an empty generated pool: one point only
             labels = labels[:1]
